@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gnn import (GnnDims, GnnParams, FcLayer, layer_plan, normalize_power,
-                  _read_header, _write_header)
+from .gnn import (ArtifactError, GnnDims, GnnParams, FcLayer, layer_plan,
+                  normalize_power, read_exact, _read_header, _write_header)
 
 
 class CapacityError(RuntimeError):
@@ -391,17 +391,17 @@ def load_quantized(path) -> QuantizedParams:
     with open(path, "rb") as fh:
         tag, dims = _read_header(fh)
         if tag not in (8, 16):
-            raise ValueError(f"container holds float parameters (tag {tag}), "
-                             "use the float loader")
+            raise ArtifactError(f"{path}: container holds float parameters "
+                                f"(tag {tag}), use the float loader")
         dtype = np.int8 if tag == 8 else np.int16
         itemsize = np.dtype(dtype).itemsize
         layers = []
         for spec in layer_plan(dims):
-            (scale,) = np.frombuffer(fh.read(8), dtype=np.float64)
+            (scale,) = np.frombuffer(read_exact(fh, 8), dtype=np.float64)
             codes = np.frombuffer(
-                fh.read(itemsize * spec.fan_in * spec.fan_out),
+                read_exact(fh, itemsize * spec.fan_in * spec.fan_out),
                 dtype=dtype).reshape(spec.fan_in, spec.fan_out).copy()
-            bias = np.frombuffer(fh.read(8 * spec.fan_out),
+            bias = np.frombuffer(read_exact(fh, 8 * spec.fan_out),
                                  dtype=np.float64).copy()
             layers.append((QuantizedTensor(codes=codes, scale=float(scale)),
                            bias))

@@ -1,7 +1,9 @@
 """Command line front end.
 
 Subcommands: train, eval, sweep, quant, latency.  Exit codes: 0 success,
-2 configuration problem, 3 numeric failure, 4 missing input artifact.
+2 configuration problem, 3 numeric failure, 4 missing or unreadable input
+artifact (absent, or a truncated or malformed checkpoint).  Each failure
+prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -147,6 +149,9 @@ def main(argv=None) -> int:
         return 3
     except experiments.MissingArtifactError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
+        return 4
+    except gnn.ArtifactError as exc:
+        print(f"unreadable artifact: {exc}", file=sys.stderr)
         return 4
 
 

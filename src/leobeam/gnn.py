@@ -14,6 +14,7 @@ hoists MLP1 out of the pair loop and evaluates it once per node.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,6 +29,11 @@ _DTYPE_TAGS = {1: np.float64, 2: np.float32}
 
 class GnnNumericError(RuntimeError):
     """Raised when a forward pass produces non-finite values."""
+
+
+class ArtifactError(ValueError):
+    """A stored container or checkpoint is truncated, malformed or of the
+    wrong kind."""
 
 
 @dataclass(frozen=True)
@@ -379,17 +385,42 @@ def _write_header(fh, dims: GnnDims, tag: int) -> None:
                          dims.l8, flags, len(layer_plan(dims))))
 
 
+def _stream_name(fh) -> str:
+    return str(getattr(fh, "name", "stream"))
+
+
+def read_exact(fh, size: int) -> bytes:
+    """The next `size` bytes of fh, or ArtifactError if the file ends first.
+
+    The length is checked before reading, so a corrupt size field cannot
+    make the read allocate more than the file holds.
+    """
+    pos = fh.tell()
+    end = fh.seek(0, os.SEEK_END)
+    fh.seek(pos)
+    if size > end - pos:
+        raise ArtifactError(f"{_stream_name(fh)}: truncated, {size} bytes "
+                            f"expected at offset {pos} but the file ends at "
+                            f"{end}")
+    return fh.read(size)
+
+
 def _read_header(fh):
     magic = fh.read(8)
     if magic != _PARAMS_MAGIC:
-        raise ValueError("not a parameter container")
-    vals = struct.unpack("<12I", fh.read(48))
+        raise ArtifactError(f"{_stream_name(fh)}: not a parameter container")
+    vals = struct.unpack("<12I", read_exact(fh, 48))
     tag = vals[0]
-    dims = GnnDims(n_antennas=vals[1], l1=vals[2], l2=vals[3], l3=vals[4],
-                   l4=vals[5], l5=vals[6], l6=vals[7], l7=vals[8], l8=vals[9],
-                   wide_output=bool(vals[10] & 1))
+    try:
+        dims = GnnDims(n_antennas=vals[1], l1=vals[2], l2=vals[3],
+                       l3=vals[4], l4=vals[5], l5=vals[6], l6=vals[7],
+                       l7=vals[8], l8=vals[9], wide_output=bool(vals[10] & 1))
+    except ValueError as exc:
+        raise ArtifactError(f"{_stream_name(fh)}: bad dimensions in "
+                            f"container: {exc}") from None
     if vals[11] != len(layer_plan(dims)):
-        raise ValueError("unexpected layer count in container")
+        raise ArtifactError(f"{_stream_name(fh)}: unexpected layer count "
+                            "in container")
     return tag, dims
 
 
@@ -405,15 +436,17 @@ def write_params(fh, params: GnnParams, dtype: str = "f8") -> None:
 def read_params(fh) -> GnnParams:
     tag, dims = _read_header(fh)
     if tag not in _DTYPE_TAGS:
-        raise ValueError(f"container holds quantized codes (tag {tag}), "
-                         "use the accelerator loader")
+        raise ArtifactError(f"{_stream_name(fh)}: container holds quantized "
+                            f"codes (tag {tag}), use the accelerator loader")
     np_dtype = _DTYPE_TAGS[tag]
     itemsize = np.dtype(np_dtype).itemsize
     layers = []
     for spec in layer_plan(dims):
-        w = np.frombuffer(fh.read(itemsize * spec.fan_in * spec.fan_out),
-                          dtype=np_dtype).reshape(spec.fan_in, spec.fan_out)
-        b = np.frombuffer(fh.read(itemsize * spec.fan_out), dtype=np_dtype)
+        w = np.frombuffer(
+            read_exact(fh, itemsize * spec.fan_in * spec.fan_out),
+            dtype=np_dtype).reshape(spec.fan_in, spec.fan_out)
+        b = np.frombuffer(read_exact(fh, itemsize * spec.fan_out),
+                          dtype=np_dtype)
         # keep the stored precision; astype also drops frombuffer read-only
         layers.append(FcLayer(w=w.astype(np_dtype), b=b.astype(np_dtype)))
     return GnnParams(dims=dims, layers=layers)

@@ -4,14 +4,21 @@ The loss is the negative mean weighted sum rate over a batch of channel
 draws, so minimizing it maximizes the rate objective directly; no labels
 are involved.  Gradients are computed by a hand-rolled batched reverse
 pass through the whole pipeline: feature embedding, the dense stack, the
-neighbor max aggregation (gradient routed to the argmax element per
-feature, ties to the lowest node index), the exact power normalization
-(quotient rule, zero-power guard treated as constant), and the rate
-expression differentiated through its real/imaginary parts.
+neighbor max aggregation, the exact power normalization (quotient rule,
+zero-power guard treated as constant), and the rate expression
+differentiated through its real/imaginary parts.
 
-By default one parameter set is shared by all satellites; every
-satellite's backward pass accumulates into the same gradient buffers.
-Setting tied=False trains one parameter set per satellite instead.
+The neighbor max works node-major and keeps only the top two nodes per
+(graph, feature): the first maximum and the runner-up, the first maximum
+among the others.  Ties go to the lowest node index, as with argmax.  Its
+gradient goes to the node that supplied each aggregate: the top node
+collects the other nodes' gradients, the runner-up the top node's.
+
+By default one parameter set is shared by all satellites; they run stacked
+through one pass, and their gradients accumulate in satellite order into
+the same buffers.  Setting tied=False trains one parameter set per
+satellite instead.  Training and inference without gradients keep no
+backward caches.
 
 Channels can be fed to the network in rescaled units: SystemParams carries
 an input_scale s, the network consumes h/s while rates are evaluated with
@@ -34,8 +41,9 @@ import numpy as np
 
 from . import channel
 from .beamform import BeamformerSet
-from .gnn import (FcLayer, GnnParams, ZERO_POWER, init_params, layer_plan,
-                  read_params, scaled_dims, write_params)
+from .gnn import (ArtifactError, FcLayer, GnnParams, ZERO_POWER, init_params,
+                  layer_plan, read_exact, read_params, scaled_dims,
+                  write_params)
 
 logger = logging.getLogger(__name__)
 
@@ -133,145 +141,237 @@ def lr_at(step: int, lr0: float = 1e-3, decay: float = 0.995,
 
 # --- batched forward/backward engine ------------------------------------------
 #
-# Activations carry shape (batch, nodes, features); dense layers flatten the
-# leading two axes into rows so every product is a single large matmul.
+# The satellites that share one parameter set are stacked into the row axis:
+# activations are 2-D (rows, features) with rows ordered (satellite, sample,
+# node), so every dense layer is one matmul over all of them.  Weight and
+# bias gradients are still formed per satellite row block and summed in
+# satellite order.  The results equal those of running the satellites one
+# at a time bit for bit wherever the BLAS computes each output row
+# independently of the row count.  OpenBLAS does so at the desk shapes
+# (4, 800 and 8000 rows per satellite); at one row, where numpy calls gemv,
+# and at 5 to 18 rows its small-matrix kernels differ in the last bits.
 
-class _FcCache(NamedTuple):
-    x: np.ndarray
-    post: np.ndarray
-    relu: bool
 
-
-def _fc_forward(x, layer, relu: bool):
-    b, m, fin = x.shape
-    y = x.reshape(b * m, fin) @ layer.w + layer.b
-    y = y.reshape(b, m, -1)
+def _dense(x, layer, relu: bool):
+    y = x @ layer.w
+    y += layer.b
     if relu:
-        y = np.maximum(y, 0.0)
-    return _FcCache(x, y, relu), y
+        np.maximum(y, 0.0, out=y)
+    return y
 
 
-def _fc_backward(cache: _FcCache, layer, gy):
-    if cache.relu:
-        gy = gy * (cache.post > 0)
-    b, m, fout = gy.shape
-    g2 = gy.reshape(b * m, fout)
-    x2 = cache.x.reshape(b * m, -1)
-    dw = x2.T @ g2
-    db = g2.sum(axis=0)
-    gx = (g2 @ layer.w.T).reshape(cache.x.shape)
-    return gx, dw, db
+def _dense_backward(layer, x, post, gy, blocks, acc, want_gx: bool = True):
+    """Backward of post = relu(x @ w + b), or of the linear layer if post
+    is None.  Overwrites gy.  Adds dW, db of each row block of `blocks`, in
+    order, into the buffers `acc`; returns the input gradient if wanted."""
+    if post is not None:
+        gy *= post > 0
+    dw, db = acc
+    for rows in blocks:
+        g = gy[rows]
+        dw += x[rows].T @ g
+        db += g.sum(axis=0)
+    return gy @ layer.w.T if want_gx else None
 
 
-def _neighbor_max(hidden):
-    """Per-node elementwise max over the other nodes.
+def _neighbor_max(h, out, want_route: bool = True):
+    """Per-node elementwise max over the other nodes of each graph.
 
-    Returns the aggregate and, per node, the source-node index of each
-    winning feature (first maximum, i.e. lowest node index on ties).
-    A single node aggregates to zeros with no sources.
+    h has shape (G, M, F): G independent graphs of M nodes.  The aggregate
+    is written to `out`, of the same shape.  Returns the gradient routing,
+    or None when it is not wanted and for M = 1, where the aggregate is
+    zero and has no sources.
+
+    The work is node-major, on a contiguous (M, G, F) copy of h.  Running
+    maxima prefix[j] over nodes 0..j and suffix[j] over nodes j..M-1 give
+    node i's aggregate as max(prefix[i-1], suffix[i+1]).  Per (graph,
+    feature) only two nodes ever win: every node but the top one (the first
+    maximum) aggregates the top node, and the top node aggregates the
+    runner-up (the first maximum among the other nodes).  Ties thus go to
+    the lowest node index, as with argmax.  The routing is a pair of
+    boolean node-major (M, G, F) masks, `top` and `second`, marking those
+    two nodes.
     """
-    b, m, f = hidden.shape
+    g, m, f = h.shape
     if m == 1:
-        return np.zeros_like(hidden), None
-    agg = np.empty_like(hidden)
-    src = np.empty((m, b, f), dtype=np.intp)
-    for i in range(m):
-        js = np.array([j for j in range(m) if j != i])
-        neigh = hidden[:, js, :]
-        pick = neigh.argmax(axis=1)
-        agg[:, i, :] = np.take_along_axis(neigh, pick[:, None, :], axis=1)[:, 0, :]
-        src[i] = js[pick]
-    return agg, src
+        out.fill(0.0)
+        return None
+    hn = np.ascontiguousarray(h.transpose(1, 0, 2))
+    prefix = [hn[0]]
+    for j in range(1, m):
+        prefix.append(np.maximum(prefix[-1], hn[j]))
+    suffix = [hn[m - 1]]
+    for j in range(m - 2, -1, -1):
+        suffix.append(np.maximum(hn[j], suffix[-1]))
+    suffix.reverse()
+    out[:, 0] = suffix[1]
+    out[:, m - 1] = prefix[m - 2]
+    for i in range(1, m - 1):
+        np.maximum(prefix[i - 1], suffix[i + 1], out=out[:, i])
+    if not want_route:
+        return None
+
+    # top: the node at which the running maximum first reaches the overall
+    # maximum.  The runner-up value is what the top node aggregates, the
+    # smallest aggregate; second marks the first other node holding it.
+    top = np.empty(hn.shape, dtype=bool)
+    reached = top[0] = hn[0] == prefix[-1]
+    for j in range(1, m):
+        now = prefix[j] == prefix[-1]
+        np.greater(now, reached, out=top[j])
+        reached = now
+    runner = np.minimum(out[:, 0], out[:, 1])
+    for i in range(2, m):
+        np.minimum(runner, out[:, i], out=runner)
+    second = np.empty_like(top)
+    seen = np.zeros((g, f), dtype=bool)
+    for j in range(m):
+        hit = (hn[j] == runner) > top[j]
+        np.greater(hit, seen, out=second[j])
+        seen |= hit
+    return top, second
 
 
-def _neighbor_max_backward(g_agg, src, m_nodes: int):
-    b, _, f = g_agg.shape
-    gh = np.zeros((b, m_nodes, f), dtype=g_agg.dtype)
-    if src is None:
-        return gh
-    node_ids = np.arange(m_nodes)[None, :, None]
-    for i in range(m_nodes):
-        gh += (src[i][:, None, :] == node_ids) * g_agg[:, i:i + 1, :]
+def _neighbor_max_backward(g_agg, route):
+    """Gradient wrt h of _neighbor_max, given g_agg of shape (G, M, F).
+
+    The top node receives the sum of the other nodes' gradients, in node
+    order; the runner-up receives the top node's.  The masks select terms
+    by multiplication, which here is several times cheaper than np.where;
+    kept boolean, they take an eighth of the memory of float masks.
+    """
+    if route is None:
+        return np.zeros_like(g_agg)
+    top, second = route
+    gn = np.ascontiguousarray(g_agg.transpose(1, 0, 2))
+    # holds the masked terms first, and the result at the end
+    buf = np.empty(gn.size, dtype=gn.dtype)
+    picked = np.multiply(gn, top, out=buf.reshape(gn.shape))
+    gn -= picked
+    rest = gn[0] + gn[1]
+    at_top = picked[0] + picked[1]
+    for i in range(2, len(gn)):
+        rest += gn[i]
+        at_top += picked[i]
+    np.multiply(top, rest, out=gn)
+    np.multiply(second, at_top, out=picked)
+    gn += picked
+    # masked-out products can be -0.0; a sum that starts from +0.0, as a
+    # scatter into zeros does, never is
+    gh = buf.reshape(g_agg.shape)
+    np.add(gn, 0.0, out=gh.transpose(1, 0, 2))
     return gh
 
 
 class _ConvCache(NamedTuple):
     x: np.ndarray
-    mlp1: tuple
-    src: np.ndarray | None
-    mlp2: tuple
+    h1: np.ndarray
+    h2: np.ndarray
+    route: tuple | None
+    comb: np.ndarray
+    g1: np.ndarray
+    out: np.ndarray
 
 
-def _conv_forward(conv, x):
-    c1, h1 = _fc_forward(x, conv.mlp1[0], True)
-    c2, h2 = _fc_forward(h1, conv.mlp1[1], True)
-    agg, src = _neighbor_max(h2)
-    comb = np.concatenate([x, agg], axis=-1)
-    c3, g1 = _fc_forward(comb, conv.mlp2[0], True)
-    c4, out = _fc_forward(g1, conv.mlp2[1], True)
-    return _ConvCache(x, (c1, c2), src, (c3, c4)), out
+def _conv_forward(conv, x, m: int, keep: bool):
+    """x has shape (rows, l3), rows ordered (graph, node), m nodes a graph."""
+    h1 = _dense(x, conv.mlp1[0], True)
+    h2 = _dense(h1, conv.mlp1[1], True)
+    rows, width = x.shape
+    comb = np.empty((rows, width + h2.shape[1]), dtype=x.dtype)
+    comb[:, :width] = x
+    route = _neighbor_max(h2.reshape(-1, m, h2.shape[1]),
+                          comb.reshape(-1, m, comb.shape[1])[..., width:],
+                          keep)
+    g1 = _dense(comb, conv.mlp2[0], True)
+    out = _dense(g1, conv.mlp2[1], True)
+    cache = _ConvCache(x, h1, h2, route, comb, g1, out) if keep else None
+    return cache, out
 
 
-def _conv_backward(cache: _ConvCache, conv, gout):
-    g_g1, dw4, db4 = _fc_backward(cache.mlp2[1], conv.mlp2[1], gout)
-    g_comb, dw3, db3 = _fc_backward(cache.mlp2[0], conv.mlp2[0], g_g1)
-    width_in = cache.x.shape[-1]
-    g_skip = g_comb[..., :width_in]
-    g_agg = g_comb[..., width_in:]
-    g_h2 = _neighbor_max_backward(g_agg, cache.src, cache.x.shape[1])
-    g_h1, dw2, db2 = _fc_backward(cache.mlp1[1], conv.mlp1[1], g_h2)
-    g_x, dw1, db1 = _fc_backward(cache.mlp1[0], conv.mlp1[0], g_h1)
-    gx = g_skip + g_x
-    return gx, [(dw1, db1), (dw2, db2), (dw3, db3), (dw4, db4)]
+def _conv_backward(cache: _ConvCache, conv, g, m: int, blocks, acc):
+    # one name for the running gradient, so each is freed once consumed
+    g = _dense_backward(conv.mlp2[1], cache.g1, cache.out, g, blocks, acc[3])
+    g = _dense_backward(conv.mlp2[0], cache.comb, cache.g1, g, blocks, acc[2])
+    width_in = cache.x.shape[1]
+    g_skip, g_agg = g[:, :width_in], g[:, width_in:]
+    g = _neighbor_max_backward(g_agg.reshape(-1, m, g_agg.shape[1]),
+                               cache.route).reshape(g_agg.shape)
+    g = _dense_backward(conv.mlp1[1], cache.h1, cache.h2, g, blocks, acc[1])
+    g = _dense_backward(conv.mlp1[0], cache.x, cache.h1, g, blocks, acc[0])
+    g += g_skip
+    return g
 
 
-class _SatCache(NamedTuple):
-    fc_in: tuple
+class _GroupCache(NamedTuple):
+    feats: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
     convs: tuple
-    out_fc: _FcCache
+    z2: np.ndarray
     y: np.ndarray
     praw: np.ndarray
     alpha: np.ndarray
 
 
-def _forward_satellite_batch(params: GnnParams, feats, power: float):
-    c1, a1 = _fc_forward(feats, params.layers[0], True)
-    c2, a2 = _fc_forward(a1, params.layers[1], True)
-    cc1, z1 = _conv_forward(params.conv(1), a2)
-    cc2, z2 = _conv_forward(params.conv(2), z1)
-    co, out = _fc_forward(z2, params.layers[10], False)
+def _forward_group(params: GnnParams, feats, power: float, keep: bool):
+    """Beams of the S satellites sharing `params`, shape (S, B, M, N).
+
+    feats has shape (S, B, M, 2N).  With keep=False nothing is kept for
+    the backward pass and the cache is None.
+    """
+    s, b, m, _ = feats.shape
+    x = feats.reshape(s * b * m, -1)
+    lay = params.layers
+    a1 = _dense(x, lay[0], True)
+    a2 = _dense(a1, lay[1], True)
+    cc1, z1 = _conv_forward(params.conv(1), a2, m, keep)
+    cc2, z2 = _conv_forward(params.conv(2), z1, m, keep)
+    out = _dense(z2, lay[10], False).reshape(s, b, m, -1)
     n = params.dims.n_antennas
     y = out[..., :n] + 1j * out[..., n:2 * n]
-    praw = np.sum(y.real ** 2 + y.imag ** 2, axis=(1, 2))
+    praw = np.sum(y.real ** 2 + y.imag ** 2, axis=(2, 3))
     safe = np.maximum(praw, ZERO_POWER)
     alpha = np.where(praw < ZERO_POWER, 0.0, np.sqrt(power / safe))
-    w = y * alpha[:, None, None]
-    return _SatCache((c1, c2), (cc1, cc2), co, y, praw, alpha), w
+    w = y * alpha[..., None, None]
+    cache = (_GroupCache(x, a1, a2, (cc1, cc2), z2, y, praw, alpha)
+             if keep else None)
+    return cache, w
 
 
-def _powernorm_backward(cache: _SatCache, gw):
+def _powernorm_backward(cache: _GroupCache, gw):
     # w = alpha(y) * y with alpha = sqrt(P / sum |y|^2); quotient rule gives
     # gy = alpha*g - (alpha/p) * Re(sum conj(g) y) * y, zero rows stay zero
     y, praw, alpha = cache.y, cache.praw, cache.alpha
-    s = np.sum(gw.real * y.real + gw.imag * y.imag, axis=(1, 2))
+    s = np.sum(gw.real * y.real + gw.imag * y.imag, axis=(2, 3))
     coef = np.where(praw < ZERO_POWER, 0.0,
                     alpha / np.maximum(praw, ZERO_POWER))
-    return alpha[:, None, None] * gw - (coef * s)[:, None, None] * y
+    return alpha[..., None, None] * gw - (coef * s)[..., None, None] * y
 
 
-def _backward_satellite_batch(params: GnnParams, cache: _SatCache, gw):
+def _backward_group(params: GnnParams, cache: _GroupCache, gw, blocks,
+                    grads: GradientSet) -> None:
+    """Adds the gradients of the row blocks `blocks` into grads.
+
+    gw has shape (S, B, M, N), the loss gradient wrt the group's beams.
+    """
     gy = _powernorm_backward(cache, gw)
     n = params.dims.n_antennas
-    b, m, _ = gy.shape
-    gout = np.zeros((b, m, params.dims.out_width), dtype=gy.real.dtype)
+    m = gy.shape[2]
+    gout = np.zeros(gy.shape[:3] + (params.dims.out_width,),
+                    dtype=gy.real.dtype)
     gout[..., :n] = gy.real
     gout[..., n:2 * n] = gy.imag
-    gz2, dwo, dbo = _fc_backward(cache.out_fc, params.layers[10], gout)
-    gz1, gconv2 = _conv_backward(cache.convs[1], params.conv(2), gz2)
-    ga2, gconv1 = _conv_backward(cache.convs[0], params.conv(1), gz1)
-    ga1, dw2, db2 = _fc_backward(cache.fc_in[1], params.layers[1], ga2)
-    _, dw1, db1 = _fc_backward(cache.fc_in[0], params.layers[0], ga1)
-    return [(dw1, db1), (dw2, db2)] + gconv1 + gconv2 + [(dwo, dbo)]
+    lay, acc = params.layers, grads.layers
+    g = _dense_backward(lay[10], cache.z2, None,
+                        gout.reshape(len(cache.z2), -1), blocks, acc[10])
+    g = _conv_backward(cache.convs[1], params.conv(2), g, m, blocks,
+                       acc[6:10])
+    g = _conv_backward(cache.convs[0], params.conv(1), g, m, blocks,
+                       acc[2:6])
+    g = _dense_backward(lay[1], cache.a1, cache.a2, g, blocks, acc[1])
+    _dense_backward(lay[0], cache.feats, cache.a1, g, blocks, acc[0],
+                    want_gx=False)
 
 
 def _wsr_batch(h, w, sigma2: float, bandwidth: float, weights):
@@ -310,12 +410,6 @@ def _zero_grads(params: GnnParams) -> GradientSet:
                         for l in params.layers])
 
 
-def _accumulate(gs: GradientSet, parts) -> None:
-    for (dw, db), (pw, pb) in zip(gs.layers, parts):
-        dw += pw
-        db += pb
-
-
 def _as_batch(batch) -> np.ndarray:
     """Accepts an ndarray (B,K,M,N), a ChannelRealization, or a list."""
     if isinstance(batch, np.ndarray):
@@ -339,6 +433,11 @@ def _params_list(params) -> list:
 
 def _engine(params, batch, sys: SystemParams, want_grads: bool = True,
             only_satellite: int | None = None):
+    """Loss, mean WSR, beams and (if wanted) gradients for a channel batch.
+
+    Parameter set i serves satellites i, i + P, i + 2P, ... of the P sets
+    given; those satellites run stacked through one forward pass.
+    """
     params_list = _params_list(params)
     h = _as_batch(batch)
     b, k, m, n = h.shape
@@ -351,14 +450,15 @@ def _engine(params, batch, sys: SystemParams, want_grads: bool = True,
     sigma2 = sys.sigma2 / sys.input_scale ** 2
     weights = sys.weight_vector()
 
+    # (K, B, M, 2N) view; each group's reshape makes its own stacked copy
+    feats = np.concatenate([hs.real, hs.imag], axis=-1).transpose(1, 0, 2, 3)
+    n_sets = len(params_list)
     caches = []
     w = np.empty_like(hs)
-    for ki in range(k):
-        p = params_list[ki % len(params_list)]
-        feats = np.concatenate([hs[:, ki].real, hs[:, ki].imag], axis=-1)
-        cache, wk = _forward_satellite_batch(p, feats, sys.power)
+    for i, p in enumerate(params_list[:k]):
+        cache, wg = _forward_group(p, feats[i::n_sets], sys.power, want_grads)
         caches.append(cache)
-        w[:, ki] = wk
+        w[:, i::n_sets] = wg.transpose(1, 0, 2, 3)
     c, sinr, intf, wsr = _wsr_batch(hs, w, sigma2, sys.bandwidth, weights)
     mean_wsr = float(wsr.mean())
     if not want_grads:
@@ -366,12 +466,14 @@ def _engine(params, batch, sys: SystemParams, want_grads: bool = True,
 
     gw = _wsr_backward(hs, c, sinr, intf, weights, sys.bandwidth, b)
     grads = [_zero_grads(p) for p in params_list]
-    for ki in range(k):
-        if only_satellite is not None and ki != only_satellite:
-            continue
-        parts = _backward_satellite_batch(
-            params_list[ki % len(params_list)], caches[ki], gw[:, ki])
-        _accumulate(grads[ki % len(params_list)], parts)
+    rows = b * m
+    for i, (p, cache) in enumerate(zip(params_list, caches)):
+        blocks = [slice(j * rows, (j + 1) * rows)
+                  for j, ki in enumerate(range(i, k, n_sets))
+                  if only_satellite in (None, ki)]
+        if blocks:
+            _backward_group(p, cache, gw[:, i::n_sets].transpose(1, 0, 2, 3),
+                            blocks, grads[i])
     if not isinstance(params, (list, tuple)):
         grads = grads[0]
     return -mean_wsr, mean_wsr, w, grads
@@ -635,28 +737,35 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Reads a checkpoint; ArtifactError if it is truncated or malformed."""
     with open(path, "rb") as fh:
         if fh.read(8) != _CKPT_MAGIC:
-            raise ValueError("not a training checkpoint")
-        (count,) = struct.unpack("<I", fh.read(4))
+            raise ArtifactError(f"{path}: not a training checkpoint")
+        (count,) = struct.unpack("<I", read_exact(fh, 4))
+        if count < 1:
+            raise ArtifactError(f"{path}: checkpoint holds no model")
         params_list = [read_params(fh) for _ in range(count)]
         states = []
         for p in params_list:
-            (t,) = struct.unpack("<Q", fh.read(8))
+            (t,) = struct.unpack("<Q", read_exact(fh, 8))
             m, v = [], []
             for spec in layer_plan(p.dims):
                 nw = spec.fan_in * spec.fan_out
-                mw = np.frombuffer(fh.read(8 * nw), dtype=np.float64)
-                vw = np.frombuffer(fh.read(8 * nw), dtype=np.float64)
-                mb = np.frombuffer(fh.read(8 * spec.fan_out), dtype=np.float64)
-                vb = np.frombuffer(fh.read(8 * spec.fan_out), dtype=np.float64)
+                mw, vw, mb, vb = (
+                    np.frombuffer(read_exact(fh, 8 * size), dtype=np.float64)
+                    for size in (nw, nw, spec.fan_out, spec.fan_out))
                 shape = (spec.fan_in, spec.fan_out)
                 m.append((mw.reshape(shape).copy(), mb.copy()))
                 v.append((vw.reshape(shape).copy(), vb.copy()))
             states.append(AdamState(m=m, v=v, t=t))
-        step, input_scale = struct.unpack("<Qd", fh.read(16))
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        trailer = json.loads(fh.read(blob_len).decode())
+        step, input_scale = struct.unpack("<Qd", read_exact(fh, 16))
+        (blob_len,) = struct.unpack("<I", read_exact(fh, 4))
+        try:
+            trailer = json.loads(read_exact(fh, blob_len).decode())
+        except ValueError as exc:
+            raise ArtifactError(f"{path}: unreadable trailer: {exc}") from None
+        if not isinstance(trailer, dict):
+            raise ArtifactError(f"{path}: unreadable trailer")
     return Checkpoint(params_list=params_list, adam_states=states,
                       step=step, input_scale=input_scale,
                       rng_state=_rng_state_restore(trailer.get("rng")),
@@ -664,7 +773,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def write_history_csv(path, history, config_hash: str = "") -> None:
-    lines = [f"# history v1 config_hash={config_hash} "
+    lines = [f"# leobeam history v1 config_hash={config_hash} "
              "units: lr dimensionless, wsr bits/s",
              "epoch,lr,train_wsr,test_wsr"]
     for e in history:

@@ -443,6 +443,24 @@ class TestQuantizedContainer:
         with pytest.raises(ValueError, match="float"):
             load_quantized(path)
 
+    def test_truncated_or_oversized_rejected(self, tmp_path):
+        params, qp = self.make(8)
+        fpath, qpath = tmp_path / "f.bin", tmp_path / "q.bin"
+        gnn.save_params(fpath, params)
+        save_quantized(qpath, qp)
+        for path, loader in ((fpath, gnn.load_params),
+                             (qpath, load_quantized)):
+            data = path.read_bytes()
+            for cut in (4, 20, 70, len(data) // 2, len(data) - 1):
+                path.write_bytes(data[:cut])
+                with pytest.raises(gnn.ArtifactError):
+                    loader(path)
+            # l1 claims 2**31 neurons: rejected before any read that large
+            path.write_bytes(data[:16] + (2 ** 31).to_bytes(4, "little")
+                             + data[20:])
+            with pytest.raises(gnn.ArtifactError, match="truncated"):
+                loader(path)
+
     def test_float_loader_rejects_quantized(self, tmp_path):
         _, qp = self.make(8)
         path = tmp_path / "q.bin"

@@ -407,6 +407,24 @@ class TestCli:
                        "--schemes", "mrt", "--size", "2"])
         assert rc == 0
 
+    def test_truncated_checkpoint_exits_4(self, micro, tmp_path, capsys):
+        data = open(micro["ckpt"], "rb").read()
+        n = len(data)
+        # magic, model count, container header, weights, Adam moments,
+        # step/scale, trailer
+        for cut in (0, 5, 10, 40, n // 4, n // 2, n - 60, n - 1):
+            out = tmp_path / f"cut{cut}"
+            out.mkdir()
+            (out / "model.ckpt").write_bytes(data[:cut])
+            with pytest.raises(gnn.ArtifactError):
+                train.load_checkpoint(out / "model.ckpt")
+            rc = cli.main(["--config", micro["cfg_path"], "--out", str(out),
+                           "eval", "--schemes", "gnn_local", "--size", "2"])
+            err = capsys.readouterr().err
+            assert rc == 4, cut
+            assert err.startswith("unreadable artifact: ")
+            assert err.count("\n") == 1
+
     def test_quant_exit_zero(self, micro, capsys):
         rc = cli.main(["--config", micro["cfg_path"], "--out", micro["out"],
                        "quant", "--size", "2"])
