@@ -4,7 +4,9 @@ Covers symmetric per-tensor quantization, an output-stationary systolic
 array computing exact integer GEMMs with a closed-form cycle count, a
 double-buffered latency model where each layer costs max(compute cycles,
 memory cycles), and a quantized end-to-end forward pass of the beamforming
-network that reuses the hoisted graph-conv schedule.
+network: `gnn._forward_group` with each dense layer on the integer
+datapath.  Any stack of satellite graphs runs as one pass, each graph with
+its own activation scales.
 
 The model is behavioral: cycle counts follow the stated formulas, not a
 synthesized design.  Weights and biases stream from off-chip once per
@@ -19,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gnn import (ArtifactError, GnnDims, GnnParams, FcLayer, layer_plan,
-                  normalize_power, read_exact, _read_header, _write_header)
+from .gnn import (ArtifactError, GnnDims, GnnParams, FcLayer, LayerSpec,
+                  layer_plan, read_exact, _counted, _forward_group,
+                  _read_header, _write_header)
 
 
 class CapacityError(RuntimeError):
@@ -75,10 +78,14 @@ class AcceleratorConfig:
 
 @dataclass
 class QuantizedTensor:
-    """Signed integer codes with one scale; value = code * scale."""
+    """Signed integer codes with a scale; value = code * scale.
+
+    A stack of row blocks carries a column of scales, one per row, equal
+    within each block.
+    """
 
     codes: np.ndarray
-    scale: float
+    scale: float | np.ndarray
 
     def __post_init__(self):
         if self.codes.dtype == np.int8:
@@ -87,7 +94,7 @@ class QuantizedTensor:
             self.bits = 16
         else:
             raise ValueError("codes must be int8 or int16")
-        if self.scale <= 0:
+        if np.any(np.asarray(self.scale) <= 0):
             raise ValueError("scale must be positive")
         qmax = 2 ** (self.bits - 1) - 1
         if np.abs(self.codes, dtype=np.int32).max(initial=0) > qmax:
@@ -104,20 +111,29 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-def quantize(x: np.ndarray, bits: int) -> QuantizedTensor:
+def quantize(x: np.ndarray, bits: int,
+             rows: int | None = None) -> QuantizedTensor:
+    """Symmetric quantization with one scale per tensor, 1 if it is zero.
+
+    With `rows`, the 2-D x is a stack of blocks of that many rows, each
+    quantized as its own tensor; the scale is then a (len(x), 1) column.
+    """
     if bits not in (8, 16):
         raise ValueError("bits must be 8 or 16")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot quantize non-finite values")
     qmax = 2 ** (bits - 1) - 1
-    amax = float(np.abs(x).max(initial=0.0))
-    dtype = np.int8 if bits == 8 else np.int16
-    if amax == 0.0:
-        return QuantizedTensor(codes=np.zeros(x.shape, dtype=dtype), scale=1.0)
-    scale = amax / qmax
+    if rows is None:
+        amax = np.abs(x).max(initial=0.0)
+    else:
+        amax = np.abs(x.reshape(-1, rows, x.shape[1])).max(
+            axis=(1, 2), initial=0.0).repeat(rows)[:, None]
+    scale = np.where(amax == 0.0, 1.0, amax / qmax)
     codes = np.clip(round_half_away(x / scale), -qmax, qmax)
-    return QuantizedTensor(codes=codes.astype(dtype), scale=scale)
+    dtype = np.int8 if bits == 8 else np.int16
+    return QuantizedTensor(codes=codes.astype(dtype),
+                           scale=float(scale) if rows is None else scale)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
@@ -229,24 +245,24 @@ class LatencyReport:
     def total_ms(self) -> float:
         return self.total_cycles * self.clock_period_ns * 1e-6
 
-    def to_csv(self) -> str:
-        lines = ["layer,rows,cols,bits,compute_cycles,memory_cycles,"
-                 "effective_cycles,bound_tag"]
-        for l in self.layers:
-            lines.append(f"{l.name},{l.rows},{l.cols},{l.bits},"
-                         f"{l.compute_cycles},{l.memory_cycles},"
-                         f"{l.effective_cycles},{l.bound_tag}")
-        return "\n".join(lines) + "\n"
 
-    def summary(self) -> str:
-        return f"total_cycles={self.total_cycles} total_ms={repr(self.total_ms)}"
+def _layer_row(spec: LayerSpec, m_rows: int, cfg: AcceleratorConfig,
+               compute=None) -> LayerLatency:
+    """One layer serving m_rows rows; compute cycles default to the model's.
+
+    Activations cross the bus only at the network input and final output.
+    """
+    model, memory = layer_latency(spec.fan_in, spec.fan_out, cfg.bits, cfg,
+                                  m_rows, stream_in=spec.name == "in_fc1",
+                                  stream_out=spec.name == "out_fc")
+    return LayerLatency(spec.name, spec.fan_in, spec.fan_out, cfg.bits,
+                        model if compute is None else compute, memory)
 
 
-def _schedule(dims: GnnDims, m_users: int):
-    """(spec, m_rows, stream_in, stream_out) per layer, hoisted schedule."""
-    plan = layer_plan(dims)
-    return [(spec, m_users, spec.name == "in_fc1", spec.name == "out_fc")
-            for spec in plan]
+def _report(layers, cfg: AcceleratorConfig) -> LatencyReport:
+    return LatencyReport(layers=tuple(layers),
+                         prologue_cycles=2 * cfg.sa_size - 2,
+                         clock_period_ns=cfg.clock_period_ns)
 
 
 def latency_model(dims: GnnDims, m_users: int,
@@ -254,15 +270,8 @@ def latency_model(dims: GnnDims, m_users: int,
     """Analytic end-to-end latency without executing any arithmetic."""
     if m_users < 1:
         raise ValueError("m_users must be >= 1")
-    rows = []
-    for spec, m_rows, sin, sout in _schedule(dims, m_users):
-        compute, memory = layer_latency(spec.fan_in, spec.fan_out, cfg.bits,
-                                        cfg, m_rows, sin, sout)
-        rows.append(LayerLatency(spec.name, spec.fan_in, spec.fan_out,
-                                 cfg.bits, compute, memory))
-    return LatencyReport(layers=tuple(rows),
-                         prologue_cycles=2 * cfg.sa_size - 2,
-                         clock_period_ns=cfg.clock_period_ns)
+    return _report([_layer_row(spec, m_users, cfg)
+                    for spec in layer_plan(dims)], cfg)
 
 
 # --- quantized forward ---------------------------------------------------------
@@ -270,91 +279,65 @@ def latency_model(dims: GnnDims, m_users: int,
 _INT32_MAX = 2 ** 31 - 1
 
 
-def _q_dense(x: np.ndarray, layer: FcLayer, relu: bool, name: str,
+def _q_dense(x: np.ndarray, layer: FcLayer, spec: LayerSpec, m: int,
              cfg: AcceleratorConfig):
     """One dense layer on the integer datapath; float in, float out.
 
-    Input activations and weights are quantized per tensor, multiplied
-    exactly, bias added as 32-bit codes at the product scale, ReLU applied
-    on accumulators, and the result dequantized for the next stage.
+    x holds graphs of m rows each.  Each graph's input activations are
+    quantized with their own scale and the weights per tensor; one exact
+    integer product serves all graphs.  The bias is added as 32-bit codes
+    at each graph's product scale, ReLU applied on accumulators, and the
+    result dequantized for the next stage.
     """
-    aq = quantize(x, cfg.bits)
+    aq = quantize(x, cfg.bits, rows=m)
     wq = quantize(layer.w, cfg.bits)
     acc, cycles = sa_gemm(aq, wq, cfg)
     sab = aq.scale * wq.scale
     bias_codes = round_half_away(layer.b / sab)
     if np.abs(bias_codes).max(initial=0.0) > _INT32_MAX:
-        raise CapacityError(f"bias codes overflow 32 bits at {name}")
-    total = acc.astype(np.int64) + bias_codes.astype(np.int64)[None, :]
+        raise CapacityError(f"bias codes overflow 32 bits at {spec.name}")
+    total = acc.astype(np.int64) + bias_codes.astype(np.int64)
     if np.abs(total).max(initial=0) >= 2 ** (cfg.acc_bits - 1):
-        raise CapacityError(f"accumulator overflow after bias at {name}")
-    if relu:
+        raise CapacityError(f"accumulator overflow after bias at {spec.name}")
+    if spec.relu:
         total = np.maximum(total, 0)
     return total.astype(float) * sab, cycles
 
 
+def quantized_forward_batch(params: GnnParams, h: np.ndarray, power: float,
+                            cfg: AcceleratorConfig, counts=None):
+    """Fixed-point forward pass for a stack of satellite graphs.
+
+    h has shape (..., M, N), one graph per trailing (M, N) channel matrix;
+    the beams come back in that shape.  Activation scales are per graph,
+    so each graph's beams equal those of its own `quantized_forward`.  Max
+    aggregation, concatenation, and the final normalization and
+    real-to-complex conversion stay in float off the modeled datapath.
+    The report is assembled from the executed integer products, all graphs
+    streaming through each layer as one operand of their G*M rows, so it
+    equals latency_model(dims, G*M, cfg).
+    """
+    h = np.asarray(h)
+    m = h.shape[-2]
+    executed = []
+
+    def dense(x, layer, spec):
+        y, cycles = _q_dense(x, layer, spec, m, cfg)
+        executed.append(_layer_row(spec, len(x), cfg, compute=cycles))
+        return y
+
+    _, w = _forward_group(params, h, power, dense=_counted(dense, counts))
+    return w, _report(executed, cfg)
+
+
 def quantized_forward(params: GnnParams, h_k: np.ndarray, power: float,
                       cfg: AcceleratorConfig, counts=None):
-    """Fixed-point forward pass for one satellite plus its latency report.
-
-    The graph convs run the hoisted schedule (one MLP1 pass over all
-    nodes); max aggregation, concatenation, and the final normalization and
-    real-to-complex conversion stay in float off the modeled datapath.
-    The report is assembled from the executed layer pipeline and matches
-    latency_model exactly.
-    """
+    """Fixed-point forward pass for one satellite, (M, N), plus its latency
+    report, which matches latency_model exactly."""
     h_k = np.asarray(h_k)
     if h_k.ndim != 2:
         raise ValueError("per-satellite channel must have shape (M, N)")
-    m_users = h_k.shape[0]
-    n = params.dims.n_antennas
-    x = np.concatenate([h_k.real, h_k.imag], axis=-1).astype(float)
-    if x.shape[1] != 2 * n:
-        raise ValueError("channel antenna count disagrees with params")
-
-    executed = []
-    plan = layer_plan(params.dims)
-
-    def dense(x, index, relu, name):
-        spec = plan[index]
-        y, cycles = _q_dense(x, params.layers[index], relu, name, cfg)
-        nbytes = layer_bytes(spec.fan_in, spec.fan_out, cfg.bits, m_users,
-                             stream_in=name == "in_fc1",
-                             stream_out=name == "out_fc")
-        memory = math.ceil(nbytes["total"] / cfg.bus_bytes_per_cycle)
-        executed.append(LayerLatency(name, spec.fan_in, spec.fan_out,
-                                     cfg.bits, cycles, memory))
-        return y
-
-    def conv(x, c):
-        base = 2 + (c - 1) * 4
-        if counts is not None:
-            counts["mlp1_nodes"] = counts.get("mlp1_nodes", 0) + m_users
-        h1 = dense(x, base, True, f"conv{c}_mlp1_fc1")
-        h2 = dense(h1, base + 1, True, f"conv{c}_mlp1_fc2")
-        if m_users == 1:
-            agg = np.zeros_like(h2)
-        else:
-            agg = np.empty_like(h2)
-            for i in range(m_users):
-                js = [j for j in range(m_users) if j != i]
-                agg[i] = h2[js].max(axis=0)
-        comb = np.concatenate([x, agg], axis=-1)
-        g1 = dense(comb, base + 2, True, f"conv{c}_mlp2_fc1")
-        return dense(g1, base + 3, True, f"conv{c}_mlp2_fc2")
-
-    x = dense(x, 0, True, "in_fc1")
-    x = dense(x, 1, True, "in_fc2")
-    x = conv(x, 1)
-    x = conv(x, 2)
-    out = dense(x, 10, False, "out_fc")
-    y = out[:, :n] + 1j * out[:, n:2 * n]
-    w_k = normalize_power(y, power)
-
-    report = LatencyReport(layers=tuple(executed),
-                           prologue_cycles=2 * cfg.sa_size - 2,
-                           clock_period_ns=cfg.clock_period_ns)
-    return w_k, report
+    return quantized_forward_batch(params, h_k, power, cfg, counts)
 
 
 # --- quantized parameter container ---------------------------------------------

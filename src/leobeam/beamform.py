@@ -46,15 +46,6 @@ class RateReport:
     bandwidth: float
     noise_var: float
 
-    def csv_row(self, seed: int, scheme: str, k_sats: int, n_antennas: int,
-                p_dbw: float) -> str:
-        m = self.per_user_rates.size
-        cells = [str(seed), scheme, str(k_sats), str(m), str(n_antennas),
-                 repr(float(p_dbw))]
-        cells += [repr(float(r)) for r in self.per_user_rates]
-        cells.append(repr(float(self.weighted_sum)))
-        return ",".join(cells)
-
 
 def _channel_tensor(h) -> np.ndarray:
     if isinstance(h, ChannelRealization):

@@ -9,7 +9,6 @@ Nakagami-m line-of-sight component with deterministic phase.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -21,8 +20,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # Pattern argument at which the two-Bessel beam gain crosses one half, so the
 # -3 dB point of the pattern lands exactly at phi_3db.
 HALF_POWER_U = 2.07123
-
-_ENSEMBLE_MAGIC = b"LEOCENS1"
 
 
 @dataclass(frozen=True)
@@ -241,42 +238,3 @@ def generate_channel(params: ChannelParams, k_sats: int, m_users: int,
     rng = np.random.Generator(np.random.Philox(seed))
     h = sample_channel_batch(params, 1, k_sats, m_users, n_antennas, rng)[0]
     return ChannelRealization(h=h, seed=seed)
-
-
-# --- ensemble container -----------------------------------------------------
-#
-# Flat binary layout, little endian:
-#   magic "LEOCENS1" | u32 version=1 | u32 count | u32 K | u32 M | u32 N
-#   i64 seeds[count]
-#   complex128 data, C order over (count, K, M, N); numpy's complex128 is a
-#   real/imag interleaved pair of float64, k-major then m then n.
-
-def save_ensemble(path, realizations: list[ChannelRealization]) -> None:
-    if not realizations:
-        raise ValueError("cannot save an empty ensemble")
-    k, m, n = realizations[0].h.shape
-    for r in realizations:
-        if r.h.shape != (k, m, n):
-            raise ValueError("ensemble entries must share one shape")
-    data = np.stack([r.h for r in realizations]).astype(np.complex128)
-    seeds = np.array([r.seed for r in realizations], dtype=np.int64)
-    with open(path, "wb") as fh:
-        fh.write(_ENSEMBLE_MAGIC)
-        fh.write(struct.pack("<5I", 1, len(realizations), k, m, n))
-        fh.write(seeds.tobytes())
-        fh.write(data.tobytes())
-
-
-def load_ensemble(path) -> list[ChannelRealization]:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _ENSEMBLE_MAGIC:
-            raise ValueError("not a channel ensemble file")
-        version, count, k, m, n = struct.unpack("<5I", fh.read(20))
-        if version != 1:
-            raise ValueError(f"unsupported ensemble version {version}")
-        seeds = np.frombuffer(fh.read(8 * count), dtype=np.int64)
-        raw = np.frombuffer(fh.read(16 * count * k * m * n), dtype=np.complex128)
-    data = raw.reshape(count, k, m, n)
-    return [ChannelRealization(h=data[i].copy(), seed=int(seeds[i]))
-            for i in range(count)]

@@ -629,6 +629,9 @@ def run_sweep(config: ExperimentConfig, out_dir: str, variable: str,
             raise ConfigError("pooled policy needs at least one global "
                               "scheme (zf_global, mmse_global, gnn_global)")
         names = kept
+    if variable == "k_sats" and "gnn_global" in names:
+        raise ConfigError("gnn_global cannot be swept over k_sats: its "
+                          "pooled checkpoint serves one satellite count")
     count = size or config.eval_size
 
     ctx = ctx_global = None
@@ -663,10 +666,6 @@ def run_sweep(config: ExperimentConfig, out_dir: str, variable: str,
             h_batch = _sample_batch(config, count, _STREAM_SWEEP,
                                     k_sats=k, extra_key=ki)
             per_sat, total = budget_for_policy(policy, config.power, k)
-            if "gnn_global" in names:
-                pooled_path = os.path.join(out_dir,
-                                           f"model_pooled_k{k}.ckpt")
-                ctx_global = load_gnn_context(pooled_path)
             rates = _rates_for_schemes(h_batch, names, per_sat, total,
                                        config, gnn_ctx=ctx,
                                        gnn_ctx_global=ctx_global)
@@ -702,37 +701,29 @@ def run_quant_compare(config: ExperimentConfig, out_dir: str, size=None):
     ctx = load_gnn_context(ckpt_path)
     count = size or config.quant_size
     h_batch = _sample_batch(config, count, _STREAM_QUANT)
-    k, m, n = config.k_sats, config.m_users, config.n_antennas
+    n = config.n_antennas
     if ctx.n_antennas != n:
         raise MissingArtifactError(
             f"checkpoint expects {ctx.n_antennas} antennas, config has {n}")
     sys = config.system_params(input_scale=ctx.input_scale)
-    scale = ctx.input_scale
     wt = np.asarray(config.weight_tuple)
 
-    w_float = train.infer_batch(ctx.params, h_batch, sys)
-    cfg8 = config.accel_config(bits=8)
-    cfg16 = config.accel_config(bits=16)
+    def wsr_of(w):
+        return np.array([beamform.wsr(h_batch[b], w[b], sys.sigma2,
+                                      bandwidth=sys.bandwidth,
+                                      weights=wt).weighted_sum
+                         for b in range(count)])
 
-    def quant_wsr(cfg):
-        out = np.empty(count)
-        for b in range(count):
-            w = np.empty((k, m, n), dtype=complex)
-            for sat in range(k):
-                wq, _ = accel.quantized_forward(
-                    ctx.params, h_batch[b, sat] / scale, sys.power, cfg)
-                w[sat] = wq
-            out[b] = beamform.wsr(h_batch[b], w, sys.sigma2,
-                                  bandwidth=sys.bandwidth,
-                                  weights=wt).weighted_sum
-        return out
+    def quant_wsr(bits):
+        # every sample and satellite in one stacked pass, scales per graph
+        w, _ = accel.quantized_forward_batch(
+            ctx.params, h_batch / ctx.input_scale, sys.power,
+            config.accel_config(bits=bits))
+        return wsr_of(w)
 
-    float_wsr = np.array([
-        beamform.wsr(h_batch[b], w_float[b], sys.sigma2,
-                     bandwidth=sys.bandwidth, weights=wt).weighted_sum
-        for b in range(count)])
-    q8 = quant_wsr(cfg8)
-    q16 = quant_wsr(cfg16)
+    float_wsr = wsr_of(train.infer_batch(ctx.params, h_batch, sys))
+    q8 = quant_wsr(8)
+    q16 = quant_wsr(16)
 
     rows = []
     for b in range(count):

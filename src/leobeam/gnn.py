@@ -7,13 +7,17 @@ concatenation with the conv input, MLP2) and a linear output layer whose
 2N outputs are read as the real and imaginary parts of the beam.  The final
 beams are rescaled to the exact per-satellite power budget.
 
-Two functionally identical conv schedules are provided: `graph_conv`
-evaluates MLP1 once per ordered neighbor pair, `graph_conv_refactored`
-hoists MLP1 out of the pair loop and evaluates it once per node.
+`_forward_group` is the one forward pass.  It runs any stack of graphs as
+one batch, evaluates MLP1 once per node and takes the dense layer as a
+callback, so training, float inference, the instrumented per-satellite
+forward and the fixed-point accelerator model all compute the same network
+with the same code.  The pairwise schedule `graph_conv`, which evaluates
+MLP1 once per ordered neighbor pair, is kept only as a reference.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ import numpy as np
 ZERO_POWER = 1e-30
 
 _PARAMS_MAGIC = b"LEOGNNP1"
-_DTYPE_TAGS = {1: np.float64, 2: np.float32}
+_F8_TAG = 1
 
 
 class GnnNumericError(RuntimeError):
@@ -104,8 +108,12 @@ class LayerSpec(NamedTuple):
     relu: bool
 
 
-def layer_plan(dims: GnnDims) -> list[LayerSpec]:
-    """Fixed execution/serialization order of the 11 dense layers."""
+@functools.lru_cache(maxsize=16)
+def layer_plan(dims: GnnDims) -> tuple[LayerSpec, ...]:
+    """Fixed execution/serialization order of the 11 dense layers.
+
+    Cached, since every forward pass reads it; the tuple is immutable.
+    """
     specs = [
         LayerSpec("in_fc1", dims.feature_in, dims.l1, True),
         LayerSpec("in_fc2", dims.l1, dims.l2, True),
@@ -118,7 +126,7 @@ def layer_plan(dims: GnnDims) -> list[LayerSpec]:
             LayerSpec(f"conv{c}_mlp2_fc2", dims.l7, dims.l8, True),
         ]
     specs.append(LayerSpec("out_fc", dims.l8, dims.out_width, False))
-    return specs
+    return tuple(specs)
 
 
 @dataclass
@@ -171,20 +179,181 @@ def init_params(dims: GnnDims, rng: np.random.Generator,
     return GnnParams(dims=dims, layers=layers)
 
 
-def embed_input(h_k: np.ndarray) -> np.ndarray:
-    """Real node features: row m is [Re h, Im h] of user m, shape (M, 2N)."""
-    h_k = np.asarray(h_k)
-    if h_k.ndim != 2:
-        raise ValueError("per-satellite channel must have shape (M, N)")
-    return np.concatenate([h_k.real, h_k.imag], axis=-1).astype(float)
+# --- the batched forward pass -------------------------------------------------
+#
+# A stack of graphs runs as one 2-D activation array, rows ordered (graph,
+# node), so each dense layer is one call of dense(x, layer, spec) over all
+# rows: `_dense` (float), `_counted` around a dense layer (MAC and node
+# tallies), or the accelerator's integer layer.
 
 
-# --- instrumented dense helpers ----------------------------------------------
+def _dense(x, layer: FcLayer, spec: LayerSpec):
+    y = x @ layer.w
+    y += layer.b
+    if spec.relu:
+        np.maximum(y, 0.0, out=y)
+    return y
+
 
 def _count(counts, key, amount):
     if counts is not None:
         counts[key] = counts.get(key, 0) + amount
 
+
+def _counted(dense, counts):
+    """`dense` that also adds its MACs, and the node rows entering each
+    conv MLP1, to the dict `counts` (None: no counting)."""
+    if counts is None:
+        return dense
+
+    def counted(x, layer, spec):
+        _count(counts, "macs", len(x) * spec.fan_in * spec.fan_out)
+        if spec.name.endswith("_mlp1_fc1"):
+            _count(counts, "mlp1_nodes", len(x))
+        return dense(x, layer, spec)
+    return counted
+
+
+def _neighbor_max(h, out, want_route: bool = True):
+    """Per-node elementwise max over the other nodes of each graph.
+
+    h has shape (G, M, F): G independent graphs of M nodes.  The aggregate
+    is written to `out`, of the same shape.  Returns the gradient routing,
+    or None when it is not wanted and for M = 1, where the aggregate is
+    zero (the identity of max over ReLU outputs) and has no sources.
+
+    The work is node-major, on a contiguous (M, G, F) copy of h.  Running
+    maxima prefix[j] over nodes 0..j and suffix[j] over nodes j..M-1 give
+    node i's aggregate as max(prefix[i-1], suffix[i+1]).  Per (graph,
+    feature) only two nodes ever win: every node but the top one (the first
+    maximum) aggregates the top node, and the top node aggregates the
+    runner-up (the first maximum among the other nodes).  Ties thus go to
+    the lowest node index, as with argmax.  The routing is a pair of
+    boolean node-major (M, G, F) masks, `top` and `second`, marking those
+    two nodes.
+    """
+    g, m, f = h.shape
+    if m == 1:
+        out.fill(0.0)
+        return None
+    hn = np.ascontiguousarray(h.transpose(1, 0, 2))
+    prefix = [hn[0]]
+    for j in range(1, m):
+        prefix.append(np.maximum(prefix[-1], hn[j]))
+    suffix = [hn[m - 1]]
+    for j in range(m - 2, -1, -1):
+        suffix.append(np.maximum(hn[j], suffix[-1]))
+    suffix.reverse()
+    out[:, 0] = suffix[1]
+    out[:, m - 1] = prefix[m - 2]
+    for i in range(1, m - 1):
+        np.maximum(prefix[i - 1], suffix[i + 1], out=out[:, i])
+    if not want_route:
+        return None
+
+    # top: the node at which the running maximum first reaches the overall
+    # maximum.  The runner-up value is what the top node aggregates, the
+    # smallest aggregate; second marks the first other node holding it.
+    top = np.empty(hn.shape, dtype=bool)
+    reached = top[0] = hn[0] == prefix[-1]
+    for j in range(1, m):
+        now = prefix[j] == prefix[-1]
+        np.greater(now, reached, out=top[j])
+        reached = now
+    runner = np.minimum(out[:, 0], out[:, 1])
+    for i in range(2, m):
+        np.minimum(runner, out[:, i], out=runner)
+    second = np.empty_like(top)
+    seen = np.zeros((g, f), dtype=bool)
+    for j in range(m):
+        hit = (hn[j] == runner) > top[j]
+        np.greater(hit, seen, out=second[j])
+        seen |= hit
+    return top, second
+
+
+class _ConvCache(NamedTuple):
+    x: np.ndarray
+    h1: np.ndarray
+    h2: np.ndarray
+    route: tuple | None
+    comb: np.ndarray
+    g1: np.ndarray
+    out: np.ndarray
+
+
+def _conv_forward(layers, specs, x, m: int, keep: bool, dense=_dense):
+    """One graph conv: MLP1 once per node, the neighbor max, then MLP2 on
+    [x, aggregate].  layers/specs are the conv's four dense layers; x has
+    shape (rows, l3), rows ordered (graph, node), m nodes a graph."""
+    h1 = dense(x, layers[0], specs[0])
+    h2 = dense(h1, layers[1], specs[1])
+    rows, width = x.shape
+    comb = np.empty((rows, width + h2.shape[1]), dtype=x.dtype)
+    comb[:, :width] = x
+    route = _neighbor_max(h2.reshape(-1, m, h2.shape[1]),
+                          comb.reshape(-1, m, comb.shape[1])[..., width:],
+                          keep)
+    g1 = dense(comb, layers[2], specs[2])
+    out = dense(g1, layers[3], specs[3])
+    cache = _ConvCache(x, h1, h2, route, comb, g1, out) if keep else None
+    return cache, out
+
+
+class _GroupCache(NamedTuple):
+    feats: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    convs: tuple
+    z2: np.ndarray
+    y: np.ndarray
+
+
+def _forward_group(params: GnnParams, h, power: float, keep: bool = False,
+                   dense=_dense):
+    """Beams for a stack of graphs, one per trailing (M, N) matrix of h.
+
+    All graphs share `params` and run as one row stack.  Returns (cache, w)
+    with w of h's shape; the cache holds what the backward pass needs, and
+    is None unless keep.
+    """
+    n = params.dims.n_antennas
+    if h.shape[-1] != n:
+        raise ValueError(f"channel has {h.shape[-1]} antennas, "
+                         f"params expect {n}")
+    m = h.shape[-2]
+    x = np.concatenate([h.real, h.imag], axis=-1).reshape(-1, 2 * n)
+    lay, plan = params.layers, layer_plan(params.dims)
+    a1 = dense(x, lay[0], plan[0])
+    a2 = dense(a1, lay[1], plan[1])
+    cc1, z1 = _conv_forward(lay[2:6], plan[2:6], a2, m, keep, dense)
+    cc2, z2 = _conv_forward(lay[6:10], plan[6:10], z1, m, keep, dense)
+    out = dense(z2, lay[10], plan[10]).reshape(h.shape[:-1] + (-1,))
+    y = out[..., :n] + 1j * out[..., n:2 * n]
+    w = normalize_power(y, power)
+    cache = _GroupCache(x, a1, a2, (cc1, cc2), z2, y) if keep else None
+    return cache, w
+
+
+def _power_scale(y: np.ndarray, power: float):
+    """(raw power, scale factor) of each trailing (M, N) matrix of y.  The
+    factor brings the matrix to `power`; it is 0 below ZERO_POWER."""
+    praw = np.sum(y.real ** 2 + y.imag ** 2, axis=(-2, -1))
+    alpha = np.where(praw < ZERO_POWER, 0.0,
+                     np.sqrt(power / np.maximum(praw, ZERO_POWER)))
+    return praw, alpha
+
+
+def normalize_power(y: np.ndarray, power: float) -> np.ndarray:
+    """Scale each trailing (M, N) complex beam matrix of y to exact trace
+    power; matrices of (near) zero power become zero."""
+    return y * _power_scale(y, power)[1][..., None, None]
+
+
+# --- the pairwise reference schedule -----------------------------------------
+#
+# Kept as a test oracle: MLP1 is re-evaluated for every ordered pair, one
+# node row at a time, with its own dense helpers.
 
 def _fc(x: np.ndarray, layer: FcLayer, relu: bool, counts=None) -> np.ndarray:
     rows, fan_in = x.shape
@@ -198,21 +367,12 @@ def _mlp(x: np.ndarray, pair, counts=None) -> np.ndarray:
     return _fc(_fc(x, pair[0], True, counts), pair[1], True, counts)
 
 
-def _neighbor_reduce(rows: list[np.ndarray]) -> np.ndarray:
-    return np.maximum.reduce(rows)
+def graph_conv(conv_params: ConvParams, x: np.ndarray, counts=None):
+    """Pair-loop schedule of one graph conv over one graph, x: (M, l3).
 
-
-# --- graph convolution, both schedules ---------------------------------------
-
-def graph_conv(conv_params: ConvParams, x: np.ndarray, x_skip=None,
-               counts=None) -> np.ndarray:
-    """Pair-loop schedule: MLP1 is re-evaluated for every ordered pair (i, j).
-
-    x: (M, l3) conv input.  x_skip defaults to x and is what the combiner
-    concatenates with the aggregate.  A single node has no neighbors; its
-    aggregate is the zero vector, the identity of max over ReLU outputs.
+    A single node has no neighbors; its aggregate is the zero vector, the
+    identity of max over ReLU outputs.
     """
-    x_skip = x if x_skip is None else x_skip
     m = x.shape[0]
     agg_width = conv_params.mlp1[1].w.shape[1]
     out = []
@@ -223,44 +383,20 @@ def graph_conv(conv_params: ConvParams, x: np.ndarray, x_skip=None,
                 continue
             _count(counts, "mlp1_nodes", 1)
             neigh.append(_mlp(x[j:j + 1], conv_params.mlp1, counts))
-        if neigh:
-            agg = _neighbor_reduce(neigh)
-        else:
-            agg = np.zeros((1, agg_width))
-        combined = np.concatenate([x_skip[i:i + 1], agg], axis=-1)
-        _count(counts, "mlp2_nodes", 1)
+        agg = np.maximum.reduce(neigh) if neigh else np.zeros((1, agg_width))
+        combined = np.concatenate([x[i:i + 1], agg], axis=-1)
         out.append(_mlp(combined, conv_params.mlp2, counts))
     return np.concatenate(out, axis=0)
 
 
-def graph_conv_refactored(conv_params: ConvParams, x: np.ndarray, x_skip=None,
-                          counts=None) -> np.ndarray:
-    """Hoisted schedule, numerically identical to `graph_conv`.
-
-    Three separate loops: MLP1 once per node, then the per-node neighbor
-    max, then MLP2 once per node.
-    """
-    x_skip = x if x_skip is None else x_skip
-    m = x.shape[0]
-    agg_width = conv_params.mlp1[1].w.shape[1]
-
-    hidden = []
-    for j in range(m):
-        _count(counts, "mlp1_nodes", 1)
-        hidden.append(_mlp(x[j:j + 1], conv_params.mlp1, counts))
-
-    aggs = []
-    for i in range(m):
-        neigh = [hidden[j] for j in range(m) if j != i]
-        aggs.append(_neighbor_reduce(neigh) if neigh
-                    else np.zeros((1, agg_width)))
-
-    out = []
-    for i in range(m):
-        combined = np.concatenate([x_skip[i:i + 1], aggs[i]], axis=-1)
-        _count(counts, "mlp2_nodes", 1)
-        out.append(_mlp(combined, conv_params.mlp2, counts))
-    return np.concatenate(out, axis=0)
+def _forward_pairwise(params: GnnParams, h_k, power: float, counts=None):
+    n = params.dims.n_antennas
+    x = _mlp(np.concatenate([h_k.real, h_k.imag], axis=-1),
+             params.layers[:2], counts)
+    for c in (1, 2):
+        x = graph_conv(params.conv(c), x, counts)
+    out = _fc(x, params.layers[10], False, counts)
+    return normalize_power(out[:, :n] + 1j * out[:, n:2 * n], power)
 
 
 def _ensure_finite(arr: np.ndarray, stage: str) -> None:
@@ -268,42 +404,31 @@ def _ensure_finite(arr: np.ndarray, stage: str) -> None:
         raise GnnNumericError(f"non-finite values after {stage}")
 
 
-def normalize_power(y: np.ndarray, power: float) -> np.ndarray:
-    """Scale an (M, N) complex beam matrix to exact trace power."""
-    praw = float(np.sum(y.real**2 + y.imag**2))
-    if praw < ZERO_POWER:
-        return np.zeros_like(y)
-    return y * np.sqrt(power / praw)
+def _checked_dense(x, layer, spec):
+    y = _dense(x, layer, spec)
+    _ensure_finite(y, spec.name)
+    return y
 
 
 def forward_satellite(params: GnnParams, h_k: np.ndarray, power: float,
                       algorithm: str = "refactored", counts=None) -> np.ndarray:
     """Beamformer for one satellite from its local channels, shape (M, N).
 
-    Output rows are read as [Re w, Im w]; the final matrix is rescaled to
-    the exact power budget (all-zero outputs stay zero).
+    "refactored" runs the batched forward, checking every layer for
+    non-finite values; "pairwise" the reference schedule.  Output rows are
+    read as [Re w, Im w]; the final matrix is rescaled to the exact power
+    budget (all-zero outputs stay zero).
     """
-    if algorithm not in ("refactored", "pairwise"):
+    h_k = np.asarray(h_k)
+    if h_k.ndim != 2:
+        raise ValueError("per-satellite channel must have shape (M, N)")
+    if algorithm == "refactored":
+        _, w_k = _forward_group(params, h_k, power,
+                                dense=_counted(_checked_dense, counts))
+    elif algorithm == "pairwise":
+        w_k = _forward_pairwise(params, h_k, power, counts)
+    else:
         raise ValueError("algorithm must be 'refactored' or 'pairwise'")
-    conv = graph_conv_refactored if algorithm == "refactored" else graph_conv
-    n = params.dims.n_antennas
-
-    x = embed_input(h_k)
-    if x.shape[1] != 2 * n:
-        raise ValueError(f"channel has {x.shape[1] // 2} antennas, "
-                         f"params expect {n}")
-    x = _fc(x, params.layers[0], True, counts)
-    _ensure_finite(x, "in_fc1")
-    x = _fc(x, params.layers[1], True, counts)
-    _ensure_finite(x, "in_fc2")
-    x = conv(params.conv(1), x, x, counts=counts)
-    _ensure_finite(x, "conv1")
-    x = conv(params.conv(2), x, x, counts=counts)
-    _ensure_finite(x, "conv2")
-    out = _fc(x, params.layers[10], False, counts)
-    _ensure_finite(out, "out_fc")
-    y = out[:, :n] + 1j * out[:, n:2 * n]
-    w_k = normalize_power(y, power)
     _ensure_finite(w_k, "power normalization")
     return w_k
 
@@ -314,16 +439,13 @@ def forward_satellite(params: GnnParams, h_k: np.ndarray, power: float,
 class MacCounts:
     """Analytic and measured multiply-accumulate counts for one forward pass.
 
-    conv_pairwise is the pair-loop schedule, conv_hoisted the refactored
-    one.  conv_pairwise_scaled is an alternative tally that multiplies the
-    whole conv term by the node count once more; it is reported for
-    reference only, the instrumented counts are the ground truth.
+    conv_pairwise is the pair-loop schedule, conv_hoisted the batched
+    forward's, which evaluates MLP1 once per node.
     """
 
     input_mlp: int
     conv_pairwise: int
     conv_hoisted: int
-    conv_pairwise_scaled: int
     output_fc: int
     total_pairwise: int
     total_hoisted: int
@@ -343,7 +465,6 @@ def mac_count(m_users: int, n_antennas: int, dims: GnnDims) -> MacCounts:
     mlp2 = d.l6 * d.l7 + d.l7 * d.l8
     conv_pairwise = 2 * (m * (m - 1) * mlp1 + m * mlp2)
     conv_hoisted = 2 * (m * mlp1 + m * mlp2)
-    conv_pairwise_scaled = 2 * m * ((m - 1) * m * mlp1 + m * mlp2)
     output_fc = m * d.l8 * d.out_width
 
     rng = np.random.Generator(np.random.Philox(20260819))
@@ -359,7 +480,6 @@ def mac_count(m_users: int, n_antennas: int, dims: GnnDims) -> MacCounts:
         input_mlp=input_mlp,
         conv_pairwise=conv_pairwise,
         conv_hoisted=conv_hoisted,
-        conv_pairwise_scaled=conv_pairwise_scaled,
         output_fc=output_fc,
         total_pairwise=input_mlp + conv_pairwise + output_fc,
         total_hoisted=input_mlp + conv_hoisted + output_fc,
@@ -371,7 +491,7 @@ def mac_count(m_users: int, n_antennas: int, dims: GnnDims) -> MacCounts:
 # --- parameter container ------------------------------------------------------
 #
 # Flat binary layout, little endian:
-#   magic "LEOGNNP1" | u32 dtype tag (1=f8, 2=f4, 8=int8 codes, 16=int16 codes)
+#   magic "LEOGNNP1" | u32 dtype tag (1=f8, 8=int8 codes, 16=int16 codes)
 #   u32 n_antennas | u32 l1..l8 | u32 flags (bit 0: wide output) | u32 layers
 #   then per layer in `layer_plan` order:
 #     float tags:  weight (fan_in * fan_out) row major, bias (fan_out)
@@ -424,37 +544,31 @@ def _read_header(fh):
     return tag, dims
 
 
-def write_params(fh, params: GnnParams, dtype: str = "f8") -> None:
-    tag = {"f8": 1, "f4": 2}[dtype]
-    np_dtype = _DTYPE_TAGS[tag]
-    _write_header(fh, params.dims, tag)
+def write_params(fh, params: GnnParams) -> None:
+    _write_header(fh, params.dims, _F8_TAG)
     for layer in params.layers:
-        fh.write(np.ascontiguousarray(layer.w, dtype=np_dtype).tobytes())
-        fh.write(np.ascontiguousarray(layer.b, dtype=np_dtype).tobytes())
+        fh.write(np.ascontiguousarray(layer.w, dtype=np.float64).tobytes())
+        fh.write(np.ascontiguousarray(layer.b, dtype=np.float64).tobytes())
 
 
 def read_params(fh) -> GnnParams:
     tag, dims = _read_header(fh)
-    if tag not in _DTYPE_TAGS:
-        raise ArtifactError(f"{_stream_name(fh)}: container holds quantized "
-                            f"codes (tag {tag}), use the accelerator loader")
-    np_dtype = _DTYPE_TAGS[tag]
-    itemsize = np.dtype(np_dtype).itemsize
+    if tag != _F8_TAG:
+        raise ArtifactError(f"{_stream_name(fh)}: container tag {tag} does "
+                            "not hold float64 parameters; quantized codes "
+                            "(tags 8, 16) use the accelerator loader")
     layers = []
     for spec in layer_plan(dims):
-        w = np.frombuffer(
-            read_exact(fh, itemsize * spec.fan_in * spec.fan_out),
-            dtype=np_dtype).reshape(spec.fan_in, spec.fan_out)
-        b = np.frombuffer(read_exact(fh, itemsize * spec.fan_out),
-                          dtype=np_dtype)
-        # keep the stored precision; astype also drops frombuffer read-only
-        layers.append(FcLayer(w=w.astype(np_dtype), b=b.astype(np_dtype)))
+        w = np.frombuffer(read_exact(fh, 8 * spec.fan_in * spec.fan_out),
+                          dtype=np.float64).reshape(spec.fan_in, spec.fan_out)
+        b = np.frombuffer(read_exact(fh, 8 * spec.fan_out), dtype=np.float64)
+        layers.append(FcLayer(w=w.copy(), b=b.copy()))
     return GnnParams(dims=dims, layers=layers)
 
 
-def save_params(path, params: GnnParams, dtype: str = "f8") -> None:
+def save_params(path, params: GnnParams) -> None:
     with open(path, "wb") as fh:
-        write_params(fh, params, dtype)
+        write_params(fh, params)
 
 
 def load_params(path) -> GnnParams:

@@ -6,13 +6,11 @@ are involved.  Gradients are computed by a hand-rolled batched reverse
 pass through the whole pipeline: feature embedding, the dense stack, the
 neighbor max aggregation, the exact power normalization (quotient rule,
 zero-power guard treated as constant), and the rate expression
-differentiated through its real/imaginary parts.
-
-The neighbor max works node-major and keeps only the top two nodes per
-(graph, feature): the first maximum and the runner-up, the first maximum
-among the others.  Ties go to the lowest node index, as with argmax.  Its
-gradient goes to the node that supplied each aggregate: the top node
-collects the other nodes' gradients, the runner-up the top node's.
+differentiated through its real/imaginary parts.  The forward pass is
+`gnn._forward_group`, run with caches; this module holds its backward.
+The neighbor max gradient goes to the node that supplied each aggregate:
+the top node collects the other nodes' gradients, the runner-up the top
+node's.
 
 By default one parameter set is shared by all satellites; they run stacked
 through one pass, and their gradients accumulate in satellite order into
@@ -43,7 +41,7 @@ from . import channel
 from .beamform import BeamformerSet
 from .gnn import (ArtifactError, FcLayer, GnnParams, ZERO_POWER, init_params,
                   layer_plan, read_exact, read_params, scaled_dims,
-                  write_params)
+                  write_params, _forward_group, _power_scale)
 
 logger = logging.getLogger(__name__)
 
@@ -152,14 +150,6 @@ def lr_at(step: int, lr0: float = 1e-3, decay: float = 0.995,
 # and at 5 to 18 rows its small-matrix kernels differ in the last bits.
 
 
-def _dense(x, layer, relu: bool):
-    y = x @ layer.w
-    y += layer.b
-    if relu:
-        np.maximum(y, 0.0, out=y)
-    return y
-
-
 def _dense_backward(layer, x, post, gy, blocks, acc, want_gx: bool = True):
     """Backward of post = relu(x @ w + b), or of the linear layer if post
     is None.  Overwrites gy.  Adds dW, db of each row block of `blocks`, in
@@ -174,66 +164,8 @@ def _dense_backward(layer, x, post, gy, blocks, acc, want_gx: bool = True):
     return gy @ layer.w.T if want_gx else None
 
 
-def _neighbor_max(h, out, want_route: bool = True):
-    """Per-node elementwise max over the other nodes of each graph.
-
-    h has shape (G, M, F): G independent graphs of M nodes.  The aggregate
-    is written to `out`, of the same shape.  Returns the gradient routing,
-    or None when it is not wanted and for M = 1, where the aggregate is
-    zero and has no sources.
-
-    The work is node-major, on a contiguous (M, G, F) copy of h.  Running
-    maxima prefix[j] over nodes 0..j and suffix[j] over nodes j..M-1 give
-    node i's aggregate as max(prefix[i-1], suffix[i+1]).  Per (graph,
-    feature) only two nodes ever win: every node but the top one (the first
-    maximum) aggregates the top node, and the top node aggregates the
-    runner-up (the first maximum among the other nodes).  Ties thus go to
-    the lowest node index, as with argmax.  The routing is a pair of
-    boolean node-major (M, G, F) masks, `top` and `second`, marking those
-    two nodes.
-    """
-    g, m, f = h.shape
-    if m == 1:
-        out.fill(0.0)
-        return None
-    hn = np.ascontiguousarray(h.transpose(1, 0, 2))
-    prefix = [hn[0]]
-    for j in range(1, m):
-        prefix.append(np.maximum(prefix[-1], hn[j]))
-    suffix = [hn[m - 1]]
-    for j in range(m - 2, -1, -1):
-        suffix.append(np.maximum(hn[j], suffix[-1]))
-    suffix.reverse()
-    out[:, 0] = suffix[1]
-    out[:, m - 1] = prefix[m - 2]
-    for i in range(1, m - 1):
-        np.maximum(prefix[i - 1], suffix[i + 1], out=out[:, i])
-    if not want_route:
-        return None
-
-    # top: the node at which the running maximum first reaches the overall
-    # maximum.  The runner-up value is what the top node aggregates, the
-    # smallest aggregate; second marks the first other node holding it.
-    top = np.empty(hn.shape, dtype=bool)
-    reached = top[0] = hn[0] == prefix[-1]
-    for j in range(1, m):
-        now = prefix[j] == prefix[-1]
-        np.greater(now, reached, out=top[j])
-        reached = now
-    runner = np.minimum(out[:, 0], out[:, 1])
-    for i in range(2, m):
-        np.minimum(runner, out[:, i], out=runner)
-    second = np.empty_like(top)
-    seen = np.zeros((g, f), dtype=bool)
-    for j in range(m):
-        hit = (hn[j] == runner) > top[j]
-        np.greater(hit, seen, out=second[j])
-        seen |= hit
-    return top, second
-
-
 def _neighbor_max_backward(g_agg, route):
-    """Gradient wrt h of _neighbor_max, given g_agg of shape (G, M, F).
+    """Gradient wrt h of gnn._neighbor_max, given g_agg of shape (G, M, F).
 
     The top node receives the sum of the other nodes' gradients, in node
     order; the runner-up receives the top node's.  The masks select terms
@@ -263,33 +195,7 @@ def _neighbor_max_backward(g_agg, route):
     return gh
 
 
-class _ConvCache(NamedTuple):
-    x: np.ndarray
-    h1: np.ndarray
-    h2: np.ndarray
-    route: tuple | None
-    comb: np.ndarray
-    g1: np.ndarray
-    out: np.ndarray
-
-
-def _conv_forward(conv, x, m: int, keep: bool):
-    """x has shape (rows, l3), rows ordered (graph, node), m nodes a graph."""
-    h1 = _dense(x, conv.mlp1[0], True)
-    h2 = _dense(h1, conv.mlp1[1], True)
-    rows, width = x.shape
-    comb = np.empty((rows, width + h2.shape[1]), dtype=x.dtype)
-    comb[:, :width] = x
-    route = _neighbor_max(h2.reshape(-1, m, h2.shape[1]),
-                          comb.reshape(-1, m, comb.shape[1])[..., width:],
-                          keep)
-    g1 = _dense(comb, conv.mlp2[0], True)
-    out = _dense(g1, conv.mlp2[1], True)
-    cache = _ConvCache(x, h1, h2, route, comb, g1, out) if keep else None
-    return cache, out
-
-
-def _conv_backward(cache: _ConvCache, conv, g, m: int, blocks, acc):
+def _conv_backward(cache, conv, g, m: int, blocks, acc):
     # one name for the running gradient, so each is freed once consumed
     g = _dense_backward(conv.mlp2[1], cache.g1, cache.out, g, blocks, acc[3])
     g = _dense_backward(conv.mlp2[0], cache.comb, cache.g1, g, blocks, acc[2])
@@ -303,59 +209,24 @@ def _conv_backward(cache: _ConvCache, conv, g, m: int, blocks, acc):
     return g
 
 
-class _GroupCache(NamedTuple):
-    feats: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-    convs: tuple
-    z2: np.ndarray
-    y: np.ndarray
-    praw: np.ndarray
-    alpha: np.ndarray
-
-
-def _forward_group(params: GnnParams, feats, power: float, keep: bool):
-    """Beams of the S satellites sharing `params`, shape (S, B, M, N).
-
-    feats has shape (S, B, M, 2N).  With keep=False nothing is kept for
-    the backward pass and the cache is None.
-    """
-    s, b, m, _ = feats.shape
-    x = feats.reshape(s * b * m, -1)
-    lay = params.layers
-    a1 = _dense(x, lay[0], True)
-    a2 = _dense(a1, lay[1], True)
-    cc1, z1 = _conv_forward(params.conv(1), a2, m, keep)
-    cc2, z2 = _conv_forward(params.conv(2), z1, m, keep)
-    out = _dense(z2, lay[10], False).reshape(s, b, m, -1)
-    n = params.dims.n_antennas
-    y = out[..., :n] + 1j * out[..., n:2 * n]
-    praw = np.sum(y.real ** 2 + y.imag ** 2, axis=(2, 3))
-    safe = np.maximum(praw, ZERO_POWER)
-    alpha = np.where(praw < ZERO_POWER, 0.0, np.sqrt(power / safe))
-    w = y * alpha[..., None, None]
-    cache = (_GroupCache(x, a1, a2, (cc1, cc2), z2, y, praw, alpha)
-             if keep else None)
-    return cache, w
-
-
-def _powernorm_backward(cache: _GroupCache, gw):
+def _powernorm_backward(y, gw, power: float):
     # w = alpha(y) * y with alpha = sqrt(P / sum |y|^2); quotient rule gives
     # gy = alpha*g - (alpha/p) * Re(sum conj(g) y) * y, zero rows stay zero
-    y, praw, alpha = cache.y, cache.praw, cache.alpha
+    praw, alpha = _power_scale(y, power)
     s = np.sum(gw.real * y.real + gw.imag * y.imag, axis=(2, 3))
     coef = np.where(praw < ZERO_POWER, 0.0,
                     alpha / np.maximum(praw, ZERO_POWER))
     return alpha[..., None, None] * gw - (coef * s)[..., None, None] * y
 
 
-def _backward_group(params: GnnParams, cache: _GroupCache, gw, blocks,
+def _backward_group(params: GnnParams, cache, gw, power: float, blocks,
                     grads: GradientSet) -> None:
     """Adds the gradients of the row blocks `blocks` into grads.
 
-    gw has shape (S, B, M, N), the loss gradient wrt the group's beams.
+    cache is `gnn._forward_group`'s; gw has shape (S, B, M, N), the loss
+    gradient wrt the group's beams.
     """
-    gy = _powernorm_backward(cache, gw)
+    gy = _powernorm_backward(cache.y, gw, power)
     n = params.dims.n_antennas
     m = gy.shape[2]
     gout = np.zeros(gy.shape[:3] + (params.dims.out_width,),
@@ -450,13 +321,12 @@ def _engine(params, batch, sys: SystemParams, want_grads: bool = True,
     sigma2 = sys.sigma2 / sys.input_scale ** 2
     weights = sys.weight_vector()
 
-    # (K, B, M, 2N) view; each group's reshape makes its own stacked copy
-    feats = np.concatenate([hs.real, hs.imag], axis=-1).transpose(1, 0, 2, 3)
     n_sets = len(params_list)
     caches = []
     w = np.empty_like(hs)
     for i, p in enumerate(params_list[:k]):
-        cache, wg = _forward_group(p, feats[i::n_sets], sys.power, want_grads)
+        cache, wg = _forward_group(p, hs[:, i::n_sets].transpose(1, 0, 2, 3),
+                                   sys.power, want_grads)
         caches.append(cache)
         w[:, i::n_sets] = wg.transpose(1, 0, 2, 3)
     c, sinr, intf, wsr = _wsr_batch(hs, w, sigma2, sys.bandwidth, weights)
@@ -473,7 +343,7 @@ def _engine(params, batch, sys: SystemParams, want_grads: bool = True,
                   if only_satellite in (None, ki)]
         if blocks:
             _backward_group(p, cache, gw[:, i::n_sets].transpose(1, 0, 2, 3),
-                            blocks, grads[i])
+                            sys.power, blocks, grads[i])
     if not isinstance(params, (list, tuple)):
         grads = grads[0]
     return -mean_wsr, mean_wsr, w, grads

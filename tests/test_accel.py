@@ -302,13 +302,6 @@ class TestLatencyModel:
                                              l.memory_cycles)
         assert tagged == 9  # all but the first and last layer
 
-    def test_csv_and_summary(self):
-        r = self.full_report(8)
-        lines = r.to_csv().strip().split("\n")
-        assert lines[0].startswith("layer,rows,cols,bits")
-        assert len(lines) == 12
-        assert f"total_cycles={TOTAL_CYCLES_8BIT}" in r.summary()
-
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             latency_model(gnn.GnnDims(n_antennas=4), 0, AcceleratorConfig())
@@ -404,6 +397,54 @@ class TestQuantizedForward:
         params.layers[0].b[:] = sab * (2 ** 31 - 1 - 100)
         with pytest.raises(CapacityError, match="after bias"):
             quantized_forward(params, h, 2.0, AcceleratorConfig(bits=8))
+
+
+class TestQuantizedStack:
+    """quantized_forward_batch against one quantized_forward per graph."""
+
+    def make(self, m, seed=77):
+        dims = gnn.scaled_dims(4, 8)
+        rng = np.random.Generator(np.random.Philox(seed))
+        params = gnn.init_params(dims, rng)
+        h = rng.normal(size=(3, 2, m, 4)) + 1j * rng.normal(size=(3, 2, m, 4))
+        return dims, params, rng, h
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_bytes_equal_per_graph(self, bits, m):
+        dims, params, rng, h = self.make(m)
+        cfg = AcceleratorConfig(bits=bits)
+        # first an all-zero graph: with the zero initial biases it stays
+        # zero through every layer, so each of its scales falls back to 1;
+        # then nonzero biases, whose codes follow each graph's scale (with
+        # them a zero graph would overflow the 16-bit path's bias codes)
+        h[1, 0] = 0.0
+        for biased in (False, True):
+            if biased:
+                h[1, 0] = 0.5 * h[0, 1]
+                for lay in params.layers:
+                    lay.b[:] = rng.normal(scale=0.01, size=lay.b.shape)
+            w, report = accel.quantized_forward_batch(params, h, 1.5, cfg)
+            want = np.stack([np.stack([quantized_forward(params, h_k, 1.5,
+                                                         cfg)[0]
+                                       for h_k in h_b]) for h_b in h])
+            assert w.shape == h.shape
+            assert w.tobytes() == want.tobytes()
+            # all six graphs stream through each layer as one operand
+            assert report == latency_model(dims, 6 * m, cfg)
+
+    def test_one_overflowing_graph_names_layer(self):
+        _, params, rng, h = self.make(4)
+        for lay in params.layers:
+            lay.b[:] = rng.normal(scale=0.1, size=lay.b.shape)
+        cfg = AcceleratorConfig(bits=8)
+        h[2, 1] *= 1e-30   # tiny scale: its bias codes exceed 32 bits
+        for b in range(3):
+            for k in range(2):
+                if (b, k) != (2, 1):
+                    quantized_forward(params, h[b, k], 1.0, cfg)
+        with pytest.raises(CapacityError, match="bias codes .* at in_fc1"):
+            accel.quantized_forward_batch(params, h, 1.0, cfg)
 
 
 class TestQuantizedContainer:

@@ -89,15 +89,6 @@ class TestWsr:
         assert c.shape == (2, 2)
         assert c[0, 1] == pytest.approx(np.vdot(h[0, 0], w[0, 1]), rel=1e-12)
 
-    def test_csv_row(self):
-        rep = beamform.wsr(np.ones((1, 1, 1), dtype=complex),
-                           np.ones((1, 1, 1), dtype=complex), 1.0)
-        row = rep.csv_row(seed=9, scheme="mrt_local", k_sats=1,
-                          n_antennas=1, p_dbw=0.0)
-        cells = row.split(",")
-        assert cells[0] == "9" and cells[1] == "mrt_local"
-        assert cells[-1] == repr(float(rep.weighted_sum))
-
 
 class TestEnforcePower:
     def test_per_satellite_budget(self):

@@ -195,22 +195,3 @@ class TestChannelTensor:
             fading=FADING)
         amps = channel.deterministic_amplitudes(p, 3)
         assert np.allclose(amps, amps[0])
-
-
-class TestEnsembleIO:
-    def test_roundtrip(self, tmp_path):
-        reals = [channel.generate_channel(_params(), 2, 4, 4, seed=s)
-                 for s in (5, 6, 7)]
-        path = tmp_path / "ens.bin"
-        channel.save_ensemble(path, reals)
-        back = channel.load_ensemble(path)
-        assert len(back) == 3
-        for orig, got in zip(reals, back):
-            assert got.seed == orig.seed
-            np.testing.assert_array_equal(orig.h, got.h)
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not an ensemble file")
-        with pytest.raises(ValueError):
-            channel.load_ensemble(path)

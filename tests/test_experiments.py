@@ -407,6 +407,23 @@ class TestCli:
                        "--schemes", "mrt", "--size", "2"])
         assert rc == 0
 
+    def test_k_sweep_with_gnn_global_is_2(self, micro, tmp_path, capsys,
+                                          monkeypatch):
+        # no checkpoint serves every satellite count; rejected before any
+        # checkpoint is opened
+        def no_load(path):
+            raise AssertionError(f"opened {path}")
+        monkeypatch.setattr(experiments, "load_gnn_context", no_load)
+        out = tmp_path / "k"
+        rc = cli.main(["--config", micro["cfg_path"], "--out", str(out),
+                       "sweep", "--variable", "k_sats", "--values", "1,2",
+                       "--schemes", "zf_global,gnn_global", "--size", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: gnn_global")
+        assert err.count("\n") == 1
+        assert not (out / "sweep.csv").exists()
+
     def test_truncated_checkpoint_exits_4(self, micro, tmp_path, capsys):
         data = open(micro["ckpt"], "rb").read()
         n = len(data)

@@ -300,13 +300,13 @@ class TestNeighborMax:
         agg_ref, src = reference_neighbor_max(h)
         gh_ref = reference_neighbor_max_backward(g, src, m)
         agg = np.empty_like(h)
-        route = train._neighbor_max(h, agg)
+        route = gnn._neighbor_max(h, agg)
         assert agg.tobytes() == agg_ref.tobytes()
         # bytes, so signed zeros count too
         assert train._neighbor_max_backward(g, route).tobytes() == \
             gh_ref.tobytes()
         agg_only = np.empty_like(h)
-        assert train._neighbor_max(h, agg_only, want_route=False) is None
+        assert gnn._neighbor_max(h, agg_only, want_route=False) is None
         assert agg_only.tobytes() == agg.tobytes()
         if m == 1:
             assert route is None
