@@ -1,10 +1,12 @@
 """Weighted-sum-rate evaluation and classical beamforming baselines.
 
-Channel tensors have shape (K, M, N): K satellites, M single-antenna user
-terminals, N antennas per satellite.  Beamformer tensors share that shape;
-w[k, m] is satellite k's beam for user m's stream.  The received signal of
-stream i at user m aggregates coherently over satellites,
-c[m, i] = sum_k h[k, m]^H w[k, i].
+Channel tensors have shape (..., K, M, N): any leading sample axes, then K
+satellites, M single-antenna user terminals and N antennas per satellite.
+Beamformer tensors share that shape; w[..., k, m, :] is satellite k's beam
+for user m's stream.  The received signal of stream i at user m aggregates
+coherently over satellites, c[m, i] = sum_k h[k, m]^H w[k, i].  Every
+function here works on one realization (K, M, N) or on a whole stack of
+them at once, and a stack gives each realization the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -25,102 +27,157 @@ class SingularChannelError(RuntimeError):
 
 @dataclass
 class BeamformerSet:
-    """w: (K, M, N) complex; power_budget in watts under the given scope."""
+    """w: (..., K, M, N) complex; power_budget in watts under the given
+    scope, for each realization."""
 
     w: np.ndarray
     power_budget: float
     scope: str = "per_satellite"  # or "total"
 
     def __post_init__(self):
-        if self.w.ndim != 3:
-            raise ValueError("beamformer tensor must have shape (K, M, N)")
+        if self.w.ndim < 3:
+            raise ValueError("beamformer tensor must have shape (..., K, M, N)")
         if self.scope not in ("per_satellite", "total"):
             raise ValueError("scope must be 'per_satellite' or 'total'")
 
 
 @dataclass
 class RateReport:
-    per_user_rates: np.ndarray   # (M,) bits/s
-    weighted_sum: float          # bits/s
-    weights: np.ndarray
-    bandwidth: float
-    noise_var: float
+    per_user_rates: np.ndarray   # (..., M) bits/s
+    weighted_sum: np.ndarray     # (...) bits/s; a scalar for one realization
 
 
 def _channel_tensor(h) -> np.ndarray:
-    if isinstance(h, ChannelRealization):
-        return h.h
-    arr = np.asarray(h)
-    if arr.ndim != 3:
-        raise ValueError("channel tensor must have shape (K, M, N)")
+    arr = h.h if isinstance(h, ChannelRealization) else np.asarray(h)
+    if arr.ndim < 3:
+        raise ValueError("channel tensor must have shape (..., K, M, N)")
     return arr
 
 
 def _beamformer_tensor(w) -> np.ndarray:
-    if isinstance(w, BeamformerSet):
-        return w.w
-    arr = np.asarray(w)
-    if arr.ndim != 3:
-        raise ValueError("beamformer tensor must have shape (K, M, N)")
+    arr = w.w if isinstance(w, BeamformerSet) else np.asarray(w)
+    if arr.ndim < 3:
+        raise ValueError("beamformer tensor must have shape (..., K, M, N)")
     return arr
 
 
 def stream_gains(h, w) -> np.ndarray:
-    """c[m, i] = sum_k h[k, m]^H w[k, i], shape (M, M)."""
+    """c[..., m, i] = sum_k h[..., k, m]^H w[..., k, i], shape (..., M, M)."""
     hh = _channel_tensor(h)
     ww = _beamformer_tensor(w)
     if hh.shape != ww.shape:
         raise ValueError(f"shape mismatch: channel {hh.shape} vs "
                          f"beamformer {ww.shape}")
-    return np.einsum("kmn,kin->mi", hh.conj(), ww)
+    return np.einsum("...kmn,...kin->...mi", hh.conj(), ww)
+
+
+def rate_terms(h, w, sigma2: float):
+    """Stream gains c, SINR and interference-plus-noise of every user.
+
+    The one SINR computation, shared by `wsr` and the training loss:
+    SINR_m = |c[m,m]|^2 / (sum_{i != m} |c[m,i]|^2 + sigma2), with
+    |c|^2 taken as re^2 + im^2.  Returns c (..., M, M), sinr and
+    interference-plus-noise (..., M).
+    """
+    c = stream_gains(h, w)
+    p = c.real ** 2 + c.imag ** 2
+    sig = np.einsum("...mm->...m", p)
+    intf = p.sum(axis=-1) - sig + sigma2
+    return c, sig / intf, intf
 
 
 def wsr(h, w, sigma2: float, bandwidth: float = 1.0,
         weights=None) -> RateReport:
-    """Per-user rates and their weighted sum.
+    """Per-user rates and their weighted sum, for each realization.
 
-    R_m = bandwidth * log2(1 + |c[m,m]|^2 / (sum_{i != m} |c[m,i]|^2 + sigma2))
+    R_m = bandwidth * log2(1 + SINR_m), with SINR_m from `rate_terms`.
     """
     if sigma2 <= 0.0:
         raise ValueError("noise variance sigma2 must be > 0")
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be > 0")
-    c = stream_gains(h, w)
-    m = c.shape[0]
+    _, sinr, _ = rate_terms(h, w, sigma2)
+    m = sinr.shape[-1]
     omega = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
     if omega.shape != (m,):
         raise ValueError(f"weights must have shape ({m},)")
-    p = np.abs(c) ** 2
-    sig = p[np.arange(m), np.arange(m)]
-    interf = p.sum(axis=1) - sig
-    sinr = sig / (interf + sigma2)
     rates = bandwidth * np.log2(1.0 + sinr)
-    return RateReport(per_user_rates=rates,
-                      weighted_sum=float(omega @ rates),
-                      weights=omega, bandwidth=bandwidth, noise_var=sigma2)
+    return RateReport(per_user_rates=rates, weighted_sum=rates @ omega)
 
 
 def enforce_power(w, power: float, scope: str = "per_satellite") -> BeamformerSet:
     """Rescale so the trace power meets the budget exactly.
 
     per_satellite: each satellite block is scaled to power watts.
-    total:         the whole tensor is scaled to power watts.
+    total:         each realization's whole tensor is scaled to power watts.
     Blocks with raw power below ZERO_POWER stay identically zero.
     """
     ww = _beamformer_tensor(w).astype(complex, copy=True)
     if power < 0.0:
         raise ValueError("power budget must be >= 0")
     if scope == "per_satellite":
-        praw = np.sum(np.abs(ww) ** 2, axis=(1, 2))
-        scale = np.where(praw < ZERO_POWER, 0.0,
-                         np.sqrt(power / np.where(praw < ZERO_POWER, 1.0, praw)))
-        ww *= scale[:, None, None]
+        axes = (-2, -1)
     elif scope == "total":
-        praw = float(np.sum(np.abs(ww) ** 2))
-        ww = ww * (0.0 if praw < ZERO_POWER else np.sqrt(power / praw))
+        axes = (-3, -2, -1)
     else:
         raise ValueError("scope must be 'per_satellite' or 'total'")
+    praw = np.sum(np.abs(ww) ** 2, axis=axes, keepdims=True)
+    dead = praw < ZERO_POWER
+    ww *= np.where(dead, 0.0, np.sqrt(power / np.where(dead, 1.0, praw)))
     return BeamformerSet(w=ww, power_budget=power, scope=scope)
+
+
+def _check_rank(mats: np.ndarray, local: bool) -> None:
+    """SingularChannelError naming the first ill-conditioned matrix of a
+    stack: per satellite (..., K, n_ant, M) if local, else stacked
+    (..., KN, M)."""
+    bad = np.argwhere(np.linalg.cond(mats) > COND_LIMIT)
+    if not len(bad):
+        return
+    sample = [int(i) for i in bad[0]]
+    where = [f"satellite {sample.pop()}" if local else "stacked system"]
+    if sample:
+        where.insert(0, "sample " + ",".join(map(str, sample)))
+    raise SingularChannelError(
+        f"rank-deficient channel matrix at {', '.join(where)}: "
+        "zero-forcing requires linearly independent user channels")
+
+
+def _inverse_directions(mats: np.ndarray, reg: float = 0.0) -> np.ndarray:
+    """H (H^H H + reg I)^{-1} for each (n_ant, M) matrix H of a stack.
+
+    reg = 0 gives the zero-forcing right pseudo-inverse; reg > 0 the
+    regularized inversion (H H^H + reg I)^{-1} H.
+    """
+    mh = mats.conj().swapaxes(-1, -2)
+    gram = mh @ mats
+    if reg:
+        gram = gram + reg * np.eye(mats.shape[-1])
+    return np.linalg.solve(gram, mh).conj().swapaxes(-1, -2)
+
+
+def _zf_normalize(wt: np.ndarray, power: float, normalization: str):
+    """Scale each (n_ant, M) direction matrix of a stack to power watts.
+
+    per_stream: every column gets power / M; trace: the matrix as a whole.
+    """
+    if normalization == "per_stream":
+        norms = np.linalg.norm(wt, axis=-2)
+        return np.sqrt(power / wt.shape[-1]) * wt / norms[..., None, :]
+    if normalization == "trace":
+        praw = np.sum(np.abs(wt) ** 2, axis=(-2, -1), keepdims=True)
+        return wt * np.sqrt(power / praw)
+    raise ValueError("normalization must be 'per_stream' or 'trace'")
+
+
+def _blocks(hh: np.ndarray) -> np.ndarray:
+    """Per-satellite matrices whose columns are user channels, (..., K, N, M)."""
+    return hh.swapaxes(-1, -2)
+
+
+def _beams(wt: np.ndarray) -> np.ndarray:
+    """Inverse of `_blocks`: (..., K, N, M) columns back to (..., K, M, N)."""
+    return np.ascontiguousarray(wt.swapaxes(-1, -2))
 
 
 # --- local schemes (each satellite uses only its own channels) --------------
@@ -128,34 +185,12 @@ def enforce_power(w, power: float, scope: str = "per_satellite") -> BeamformerSe
 def mrt_local(h, power: float) -> BeamformerSet:
     """Match each beam to its own channel: w[k,m] = sqrt(P/M) h[k,m]/|h[k,m]|."""
     hh = _channel_tensor(h)
-    k_sats, m_users, _ = hh.shape
-    norms = np.linalg.norm(hh, axis=2)
-    safe = np.where(norms**2 < ZERO_POWER, 1.0, norms)
-    ww = np.sqrt(power / m_users) * hh / safe[:, :, None]
-    ww[norms**2 < ZERO_POWER] = 0.0
+    m_users = hh.shape[-2]
+    norms = np.linalg.norm(hh, axis=-1)
+    dead = norms**2 < ZERO_POWER
+    ww = np.sqrt(power / m_users) * hh / np.where(dead, 1.0, norms)[..., None]
+    ww[dead] = 0.0
     return BeamformerSet(w=ww, power_budget=power, scope="per_satellite")
-
-
-def _zf_directions(mat: np.ndarray, label: str) -> np.ndarray:
-    """Right pseudo-inverse H (H^H H)^{-1} of an (n_ant, M) channel matrix."""
-    if np.linalg.cond(mat) > COND_LIMIT:
-        raise SingularChannelError(
-            f"rank-deficient channel matrix at {label}: zero-forcing "
-            "requires linearly independent user channels")
-    gram = mat.conj().T @ mat
-    return np.linalg.solve(gram, mat.conj().T).conj().T
-
-
-def _mmse_directions(mat: np.ndarray, reg: float) -> np.ndarray:
-    """(H H^H + reg I)^{-1} H, evaluated via H (H^H H + reg I)^{-1}."""
-    m = mat.shape[1]
-    gram = mat.conj().T @ mat + reg * np.eye(m)
-    return np.linalg.solve(gram, mat.conj().T).conj().T
-
-
-def _normalize_columns(wt: np.ndarray, per_stream_power: float) -> np.ndarray:
-    norms = np.linalg.norm(wt, axis=0)
-    return np.sqrt(per_stream_power) * wt / norms[None, :]
 
 
 def zf_local(h, power: float, normalization: str = "per_stream") -> BeamformerSet:
@@ -170,60 +205,47 @@ def zf_local(h, power: float, normalization: str = "per_stream") -> BeamformerSe
     The satellites' contributions to c[m,m] therefore add coherently, while
     every cross gain c[m,i], i != m, stays exactly zero.
     """
-    hh = _channel_tensor(h)
-    k_sats, m_users, n_ant = hh.shape
-    ww = np.empty_like(hh)
-    for k in range(k_sats):
-        mat = hh[k].T  # (N, M), columns are user channels
-        wt = _zf_directions(mat, f"satellite {k}")
-        if normalization == "per_stream":
-            wt = _normalize_columns(wt, power / m_users)
-        elif normalization == "trace":
-            wt = wt * np.sqrt(power / np.sum(np.abs(wt) ** 2))
-        else:
-            raise ValueError("normalization must be 'per_stream' or 'trace'")
-        ww[k] = wt.T
-    return BeamformerSet(w=ww, power_budget=power, scope="per_satellite")
+    mats = _blocks(_channel_tensor(h))
+    _check_rank(mats, local=True)
+    wt = _zf_normalize(_inverse_directions(mats), power, normalization)
+    return BeamformerSet(w=_beams(wt), power_budget=power,
+                         scope="per_satellite")
 
 
 def mmse_local(h, power: float, sigma2: float) -> BeamformerSet:
     """Per-satellite regularized inversion, regularizer M sigma2 / P."""
     hh = _channel_tensor(h)
-    k_sats, m_users, _ = hh.shape
     if power <= 0.0 or sigma2 <= 0.0:
         raise ValueError("mmse_local requires power > 0 and sigma2 > 0")
-    reg = m_users * sigma2 / power
-    ww = np.empty_like(hh)
-    for k in range(k_sats):
-        ww[k] = _mmse_directions(hh[k].T, reg).T
-    return enforce_power(ww, power, scope="per_satellite")
+    reg = hh.shape[-2] * sigma2 / power
+    wt = _inverse_directions(_blocks(hh), reg)
+    return enforce_power(_beams(wt), power, scope="per_satellite")
 
 
 # --- global schemes (stacked NK-antenna transmitter) -------------------------
 
 def _stacked(hh: np.ndarray) -> np.ndarray:
-    """Stack satellite antennas: column m is concat_k h[k, m], shape (KN, M)."""
-    k_sats, m_users, n_ant = hh.shape
-    return hh.transpose(1, 0, 2).reshape(m_users, k_sats * n_ant).T
+    """Stack satellite antennas: column m is concat_k h[k, m], (..., KN, M)."""
+    *lead, k_sats, m_users, n_ant = hh.shape
+    return hh.swapaxes(-3, -2).reshape(
+        *lead, m_users, k_sats * n_ant).swapaxes(-1, -2)
 
 
 def _split(w_stack: np.ndarray, k_sats: int, n_ant: int) -> np.ndarray:
-    m_users = w_stack.shape[1]
-    return w_stack.T.reshape(m_users, k_sats, n_ant).transpose(1, 0, 2)
+    """Inverse of `_stacked`: (..., KN, M) columns back to (..., K, M, N)."""
+    *lead, _, m_users = w_stack.shape
+    return w_stack.swapaxes(-1, -2).reshape(
+        *lead, m_users, k_sats, n_ant).swapaxes(-3, -2)
 
 
 def zf_global(h, total_power: float,
               normalization: str = "per_stream") -> BeamformerSet:
     """Zero forcing on the stacked NK-antenna system, total power budget."""
     hh = _channel_tensor(h)
-    k_sats, m_users, n_ant = hh.shape
-    wt = _zf_directions(_stacked(hh), "stacked system")
-    if normalization == "per_stream":
-        wt = _normalize_columns(wt, total_power / m_users)
-    elif normalization == "trace":
-        wt = wt * np.sqrt(total_power / np.sum(np.abs(wt) ** 2))
-    else:
-        raise ValueError("normalization must be 'per_stream' or 'trace'")
+    k_sats, _, n_ant = hh.shape[-3:]
+    mats = _stacked(hh)
+    _check_rank(mats, local=False)
+    wt = _zf_normalize(_inverse_directions(mats), total_power, normalization)
     return BeamformerSet(w=_split(wt, k_sats, n_ant),
                          power_budget=total_power, scope="total")
 
@@ -231,10 +253,10 @@ def zf_global(h, total_power: float,
 def mmse_global(h, total_power: float, sigma2: float) -> BeamformerSet:
     """Regularized inversion on the stacked system, total power budget."""
     hh = _channel_tensor(h)
-    k_sats, m_users, n_ant = hh.shape
     if total_power <= 0.0 or sigma2 <= 0.0:
         raise ValueError("mmse_global requires power > 0 and sigma2 > 0")
+    k_sats, m_users, n_ant = hh.shape[-3:]
     reg = m_users * sigma2 / total_power
-    wt = _mmse_directions(_stacked(hh), reg)
-    out = enforce_power(_split(wt, k_sats, n_ant), total_power, scope="total")
-    return out
+    wt = _inverse_directions(_stacked(hh), reg)
+    return enforce_power(_split(wt, k_sats, n_ant), total_power,
+                         scope="total")

@@ -259,12 +259,9 @@ class ExperimentConfig:
 
     # --- factories ---------------------------------------------------------
 
-    def channel_params(self, m_users=None) -> channel.ChannelParams:
-        m = self.m_users if m_users is None else m_users
+    def channel_params(self) -> channel.ChannelParams:
         phi = self.phi_deg if len(self.phi_deg) > 1 else \
-            (self.phi_deg[0],) * m
-        if len(phi) != m:
-            phi = (self.phi_deg[0],) * m
+            (self.phi_deg[0],) * self.m_users
         return channel.ChannelParams(
             d0=self.d0_m,
             carrier_freq=self.carrier_freq_hz,
@@ -439,7 +436,8 @@ def load_gnn_context(path: str) -> GnnContext:
 def compute_beams(scheme: str, h, per_sat_power: float, total_power: float,
                   sigma2: float, gnn_ctx: GnnContext | None = None,
                   gnn_ctx_global: GnnContext | None = None):
-    """Return a BeamformerSet for one channel realization ``h`` (K, M, N)."""
+    """Return a BeamformerSet for a realization (K, M, N) or a stack of
+    them (..., K, M, N); the beams have the channel's shape."""
     if scheme == "mrt_local":
         return beamform.mrt_local(h, per_sat_power)
     if scheme == "zf_local":
@@ -450,35 +448,37 @@ def compute_beams(scheme: str, h, per_sat_power: float, total_power: float,
         return beamform.zf_global(h, total_power)
     if scheme == "mmse_global":
         return beamform.mmse_global(h, total_power, sigma2)
+    if scheme not in ("gnn_local", "gnn_global"):
+        raise ConfigError(f"unknown scheme {scheme!r}")
+    h = np.asarray(h)
+    k, m, n = h.shape[-3:]
     if scheme == "gnn_local":
         if gnn_ctx is None:
             raise MissingArtifactError(
                 "scheme gnn_local needs a trained checkpoint; run "
                 "'leobeam train --config <file>' first")
-        k, m, n = h.shape
         sys = train.SystemParams(k, m, n, power=per_sat_power, sigma2=sigma2,
                                  input_scale=gnn_ctx.input_scale)
-        return train.infer_beamformers(gnn_ctx.params, h, sys)
-    if scheme == "gnn_global":
-        ctx = gnn_ctx_global
-        if ctx is None:
-            raise MissingArtifactError(
-                "scheme gnn_global needs a checkpoint trained on the pooled "
-                "system; run 'leobeam train --config <file> --pooled' first")
-        k, m, n = h.shape
-        stacked = h.transpose(1, 0, 2).reshape(m, k * n)[None, :, :]
-        if ctx.n_antennas != k * n:
-            raise MissingArtifactError(
-                f"pooled checkpoint expects {ctx.n_antennas} antennas but the "
-                f"stacked system has {k * n}; retrain with --pooled")
-        sys = train.SystemParams(1, m, k * n, power=total_power,
-                                 sigma2=sigma2,
-                                 input_scale=ctx.input_scale)
-        ws = train.infer_beamformers(ctx.params, stacked, sys)
-        w = beamform._split(ws.w[0].T, k, n)
-        return beamform.BeamformerSet(w=w, power_budget=total_power,
-                                      scope="total")
-    raise ConfigError(f"unknown scheme {scheme!r}")
+        w = train.infer_batch(gnn_ctx.params, h.reshape(-1, k, m, n), sys)
+        return beamform.BeamformerSet(w=w.reshape(h.shape),
+                                      power_budget=per_sat_power)
+    ctx = gnn_ctx_global
+    if ctx is None:
+        raise MissingArtifactError(
+            "scheme gnn_global needs a checkpoint trained on the pooled "
+            "system; run 'leobeam train --config <file> --pooled' first")
+    if ctx.n_antennas != k * n:
+        raise MissingArtifactError(
+            f"pooled checkpoint expects {ctx.n_antennas} antennas but the "
+            f"stacked system has {k * n}; retrain with --pooled")
+    # the pooled network sees one satellite with K*N antennas
+    sys = train.SystemParams(1, m, k * n, power=total_power, sigma2=sigma2,
+                             input_scale=ctx.input_scale)
+    pooled = beamform._stacked(h).swapaxes(-1, -2).reshape(-1, 1, m, k * n)
+    ws = train.infer_batch(ctx.params, pooled, sys)
+    w = beamform._split(ws[:, 0].swapaxes(-1, -2), k, n)
+    return beamform.BeamformerSet(w=w.reshape(h.shape),
+                                  power_budget=total_power, scope="total")
 
 
 def budget_for_policy(policy: str, per_sat_power: float, k_sats: int):
@@ -537,19 +537,16 @@ def _sample_batch(config: ExperimentConfig, count: int, stream: int,
 
 def _rates_for_schemes(h_batch, schemes, per_sat_power, total_power, config,
                        gnn_ctx=None, gnn_ctx_global=None):
-    """Evaluate schemes on a batch; returns {scheme: list[RateReport]}."""
-    sigma2 = config.sigma2
-    bw = config.bandwidth_hz
+    """Evaluate schemes on a batch; returns {scheme: RateReport} whose
+    arrays run over the batch."""
     wt = np.asarray(config.weight_tuple)
     out = {}
     for scheme in schemes:
-        reports = []
-        for h in h_batch:
-            bs = compute_beams(scheme, h, per_sat_power, total_power, sigma2,
-                               gnn_ctx=gnn_ctx, gnn_ctx_global=gnn_ctx_global)
-            reports.append(beamform.wsr(h, bs.w, sigma2, bandwidth=bw,
-                                        weights=wt))
-        out[scheme] = reports
+        beams = compute_beams(scheme, h_batch, per_sat_power, total_power,
+                              config.sigma2, gnn_ctx=gnn_ctx,
+                              gnn_ctx_global=gnn_ctx_global)
+        out[scheme] = beamform.wsr(h_batch, beams.w, config.sigma2,
+                                   bandwidth=config.bandwidth_hz, weights=wt)
     return out
 
 
@@ -580,12 +577,13 @@ def run_eval(config: ExperimentConfig, out_dir: str,
         + ["weighted_sum_bps"]
     rows = []
     for scheme in names:
-        for idx, rep in enumerate(rates[scheme]):
+        rep = rates[scheme]
+        for idx in range(count):
             rows.append([idx, config.seed, scheme, config.k_sats,
                          config.m_users, config.n_antennas,
                          float(config.p_dbw)]
-                        + [float(r) for r in rep.per_user_rates]
-                        + [float(rep.weighted_sum)])
+                        + [float(r) for r in rep.per_user_rates[idx]]
+                        + [float(rep.weighted_sum[idx])])
     hdr = _artifact_header("eval", config,
                            "units: rates b/s, power dBW")
     _write_rows(os.path.join(out_dir, "eval.csv"), hdr, cols, rows)
@@ -593,7 +591,7 @@ def run_eval(config: ExperimentConfig, out_dir: str,
     summary = {}
     srows = []
     for scheme in names:
-        vals = np.array([r.weighted_sum for r in rates[scheme]])
+        vals = rates[scheme].weighted_sum
         summary[scheme] = (float(vals.mean()), float(vals.std()))
         srows.append([scheme, len(vals), float(vals.mean()),
                       float(vals.std())])
@@ -642,38 +640,32 @@ def run_sweep(config: ExperimentConfig, out_dir: str, variable: str,
         ctx_global = load_gnn_context(
             os.path.join(out_dir, "model_pooled.ckpt"))
 
-    results = {s: [] for s in names}
-    rows = []
-    if variable == "p_dbw":
-        h_batch = _sample_batch(config, count, _STREAM_SWEEP)
-        for value in values:
-            per_sat, total = budget_for_policy(
-                policy, dbw_to_watts(float(value)), config.k_sats)
-            rates = _rates_for_schemes(h_batch, names, per_sat, total,
-                                       config, gnn_ctx=ctx,
-                                       gnn_ctx_global=ctx_global)
-            for scheme in names:
-                vals = np.array([r.weighted_sum for r in rates[scheme]])
-                results[scheme].append((float(value), float(vals.mean())))
-                rows.append([variable, float(value), policy, scheme,
-                             len(vals), float(vals.mean()),
-                             float(vals.std())])
-    else:
+    def points():
+        """(value, channel ensemble, per-satellite and total budgets)."""
+        if variable == "p_dbw":
+            h_batch = _sample_batch(config, count, _STREAM_SWEEP)
+            for value in values:
+                yield (float(value), h_batch, *budget_for_policy(
+                    policy, dbw_to_watts(float(value)), config.k_sats))
+            return
         for ki, value in enumerate(values):
             k = int(value)
             if k < 1:
                 raise ConfigError(f"k_sats sweep value must be >= 1, got {k}")
-            h_batch = _sample_batch(config, count, _STREAM_SWEEP,
-                                    k_sats=k, extra_key=ki)
-            per_sat, total = budget_for_policy(policy, config.power, k)
-            rates = _rates_for_schemes(h_batch, names, per_sat, total,
-                                       config, gnn_ctx=ctx,
-                                       gnn_ctx_global=ctx_global)
-            for scheme in names:
-                vals = np.array([r.weighted_sum for r in rates[scheme]])
-                results[scheme].append((float(k), float(vals.mean())))
-                rows.append([variable, float(k), policy, scheme, len(vals),
-                             float(vals.mean()), float(vals.std())])
+            yield (float(k), _sample_batch(config, count, _STREAM_SWEEP,
+                                           k_sats=k, extra_key=ki),
+                   *budget_for_policy(policy, config.power, k))
+
+    results = {s: [] for s in names}
+    rows = []
+    for value, h_batch, per_sat, total in points():
+        rates = _rates_for_schemes(h_batch, names, per_sat, total, config,
+                                   gnn_ctx=ctx, gnn_ctx_global=ctx_global)
+        for scheme in names:
+            vals = rates[scheme].weighted_sum
+            results[scheme].append((value, float(vals.mean())))
+            rows.append([variable, value, policy, scheme, len(vals),
+                         float(vals.mean()), float(vals.std())])
 
     hdr = _artifact_header("sweep", config,
                            f"variable={variable} policy={policy} "
@@ -709,10 +701,8 @@ def run_quant_compare(config: ExperimentConfig, out_dir: str, size=None):
     wt = np.asarray(config.weight_tuple)
 
     def wsr_of(w):
-        return np.array([beamform.wsr(h_batch[b], w[b], sys.sigma2,
-                                      bandwidth=sys.bandwidth,
-                                      weights=wt).weighted_sum
-                         for b in range(count)])
+        return beamform.wsr(h_batch, w, sys.sigma2, bandwidth=sys.bandwidth,
+                            weights=wt).weighted_sum
 
     def quant_wsr(bits):
         # every sample and satellite in one stacked pass, scales per graph
@@ -815,7 +805,7 @@ def run_train(config: ExperimentConfig, out_dir: str, progress=None,
         name = "model_pooled.ckpt"
     result = train.train(cfg, progress=progress)
     ckpt_path = os.path.join(out_dir, name)
-    train.save_checkpoint(ckpt_path, result.params, step=len(result.history),
+    train.save_checkpoint(ckpt_path, result.params,
                           input_scale=result.input_scale)
     hist_path = os.path.join(out_dir,
                              "history_pooled.csv" if pooled

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import json
 import logging
 import struct
 from dataclasses import dataclass
@@ -38,14 +37,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import channel
-from .beamform import BeamformerSet
+from .beamform import BeamformerSet, rate_terms
 from .gnn import (ArtifactError, FcLayer, GnnParams, ZERO_POWER, init_params,
-                  layer_plan, read_exact, read_params, scaled_dims,
-                  write_params, _forward_group, _power_scale)
+                  read_exact, read_params, scaled_dims, write_params,
+                  _forward_group, _power_scale)
 
 logger = logging.getLogger(__name__)
 
-_CKPT_MAGIC = b"LEOCKPT1"
+_CKPT_MAGIC = b"LEOCKPT2"
+_OLD_CKPT_MAGIC = b"LEOCKPT1"   # with Adam moments and an RNG trailer
 
 
 class TrainingDivergedError(RuntimeError):
@@ -245,17 +245,6 @@ def _backward_group(params: GnnParams, cache, gw, power: float, blocks,
                     want_gx=False)
 
 
-def _wsr_batch(h, w, sigma2: float, bandwidth: float, weights):
-    c = np.einsum("bkmn,bkin->bmi", h.conj(), w)
-    p = c.real ** 2 + c.imag ** 2
-    sig = np.einsum("bmm->bm", p)
-    intf = p.sum(axis=2) - sig + sigma2
-    sinr = sig / intf
-    rates = bandwidth * np.log2(1.0 + sinr)
-    wsr = rates @ weights
-    return c, sinr, intf, wsr
-
-
 def _wsr_backward(h, c, sinr, intf, weights, bandwidth: float, batch: int):
     m = sinr.shape[1]
     # gs = d loss / d sinr for loss = -(1/batch) sum_b sum_m w_m R_m
@@ -329,8 +318,9 @@ def _engine(params, batch, sys: SystemParams, want_grads: bool = True,
                                    sys.power, want_grads)
         caches.append(cache)
         w[:, i::n_sets] = wg.transpose(1, 0, 2, 3)
-    c, sinr, intf, wsr = _wsr_batch(hs, w, sigma2, sys.bandwidth, weights)
-    mean_wsr = float(wsr.mean())
+    c, sinr, intf = rate_terms(hs, w, sigma2)
+    rates = sys.bandwidth * np.log2(1.0 + sinr)
+    mean_wsr = float((rates @ weights).mean())
     if not want_grads:
         return -mean_wsr, mean_wsr, w, None
 
@@ -541,64 +531,24 @@ def train(cfg: TrainConfig,
 # --- persistence ----------------------------------------------------------------
 #
 # Checkpoint layout, little endian: magic | u32 model count | one parameter
-# container per model | per model: u64 adam step then per layer m_w, v_w
-# (fan_in*fan_out f8 each) and m_b, v_b (fan_out f8) | u64 global step |
-# f8 input_scale | u32 length + JSON trailer (rng state and bookkeeping).
-
-def _rng_state_jsonable(state):
-    if isinstance(state, dict):
-        return {k: _rng_state_jsonable(v) for k, v in state.items()}
-    if isinstance(state, np.ndarray):
-        return {"__nd__": state.tolist(), "dtype": str(state.dtype)}
-    if isinstance(state, (np.integer,)):
-        return int(state)
-    return state
+# container per model | f8 input_scale.  It holds what inference reads;
+# nothing resumes training from it.
 
 
-def _rng_state_restore(state):
-    if isinstance(state, dict):
-        if "__nd__" in state:
-            return np.array(state["__nd__"], dtype=state["dtype"])
-        return {k: _rng_state_restore(v) for k, v in state.items()}
-    return state
-
-
-def save_checkpoint(path, params, adam_states=None, step: int = 0,
-                    input_scale: float = 1.0, rng_state=None,
-                    extra: dict | None = None) -> None:
+def save_checkpoint(path, params, input_scale: float = 1.0) -> None:
     params_list = _params_list(params)
-    if adam_states is None:
-        adam_states = [init_adam_state(p) for p in params_list]
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", len(params_list)))
         for p in params_list:
             write_params(fh, p)
-        for p, st in zip(params_list, adam_states):
-            fh.write(struct.pack("<Q", st.t))
-            for (mw, mb), (vw, vb) in zip(st.m, st.v):
-                for arr in (mw, vw):
-                    fh.write(np.ascontiguousarray(arr, dtype=np.float64)
-                             .tobytes())
-                for arr in (mb, vb):
-                    fh.write(np.ascontiguousarray(arr, dtype=np.float64)
-                             .tobytes())
-        fh.write(struct.pack("<Qd", step, input_scale))
-        trailer = {"rng": _rng_state_jsonable(rng_state),
-                   "extra": extra or {}}
-        blob = json.dumps(trailer).encode()
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
+        fh.write(struct.pack("<d", input_scale))
 
 
 @dataclass
 class Checkpoint:
     params_list: list
-    adam_states: list
-    step: int
     input_scale: float
-    rng_state: object
-    extra: dict
 
     @property
     def params(self):
@@ -609,37 +559,17 @@ class Checkpoint:
 def load_checkpoint(path) -> Checkpoint:
     """Reads a checkpoint; ArtifactError if it is truncated or malformed."""
     with open(path, "rb") as fh:
-        if fh.read(8) != _CKPT_MAGIC:
+        magic = fh.read(8)
+        if magic == _OLD_CKPT_MAGIC:
+            raise ArtifactError(f"{path}: older checkpoint format, retrain")
+        if magic != _CKPT_MAGIC:
             raise ArtifactError(f"{path}: not a training checkpoint")
         (count,) = struct.unpack("<I", read_exact(fh, 4))
         if count < 1:
             raise ArtifactError(f"{path}: checkpoint holds no model")
         params_list = [read_params(fh) for _ in range(count)]
-        states = []
-        for p in params_list:
-            (t,) = struct.unpack("<Q", read_exact(fh, 8))
-            m, v = [], []
-            for spec in layer_plan(p.dims):
-                nw = spec.fan_in * spec.fan_out
-                mw, vw, mb, vb = (
-                    np.frombuffer(read_exact(fh, 8 * size), dtype=np.float64)
-                    for size in (nw, nw, spec.fan_out, spec.fan_out))
-                shape = (spec.fan_in, spec.fan_out)
-                m.append((mw.reshape(shape).copy(), mb.copy()))
-                v.append((vw.reshape(shape).copy(), vb.copy()))
-            states.append(AdamState(m=m, v=v, t=t))
-        step, input_scale = struct.unpack("<Qd", read_exact(fh, 16))
-        (blob_len,) = struct.unpack("<I", read_exact(fh, 4))
-        try:
-            trailer = json.loads(read_exact(fh, blob_len).decode())
-        except ValueError as exc:
-            raise ArtifactError(f"{path}: unreadable trailer: {exc}") from None
-        if not isinstance(trailer, dict):
-            raise ArtifactError(f"{path}: unreadable trailer")
-    return Checkpoint(params_list=params_list, adam_states=states,
-                      step=step, input_scale=input_scale,
-                      rng_state=_rng_state_restore(trailer.get("rng")),
-                      extra=trailer.get("extra", {}))
+        (input_scale,) = struct.unpack("<d", read_exact(fh, 8))
+    return Checkpoint(params_list=params_list, input_scale=input_scale)
 
 
 def write_history_csv(path, history, config_hash: str = "") -> None:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from leobeam import beamform, channel, experiments, train
+from leobeam import beamform, channel, experiments, gnn, train
 
 CACHE_DIR = os.path.join(os.path.dirname(__file__), "_cache")
 _REPO_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -42,22 +42,25 @@ def desk_training() -> DeskTraining:
     meta_path = os.path.join(CACHE_DIR, f"desk_{key}.json")
     if (os.path.exists(ckpt_path) and os.path.exists(meta_path)
             and not os.environ.get("LEOBEAM_TEST_NO_CACHE")):
-        ckpt = train.load_checkpoint(ckpt_path)
-        meta = json.load(open(meta_path))
-        result = train.TrainResult(
-            params=ckpt.params,
-            history=[train.EpochStats(*row) for row in meta["history"]],
-            best_epoch=meta["best_epoch"],
-            best_test_wsr=meta["best_test_wsr"],
-            stopped_early=meta["stopped_early"],
-            input_scale=ckpt.input_scale)
-        return DeskTraining(result, float(meta["seconds"]))
+        try:
+            ckpt = train.load_checkpoint(ckpt_path)
+        except gnn.ArtifactError:
+            ckpt = None  # an older checkpoint format or a damaged file
+        if ckpt is not None:
+            meta = json.load(open(meta_path))
+            result = train.TrainResult(
+                params=ckpt.params,
+                history=[train.EpochStats(*row) for row in meta["history"]],
+                best_epoch=meta["best_epoch"],
+                best_test_wsr=meta["best_test_wsr"],
+                stopped_early=meta["stopped_early"],
+                input_scale=ckpt.input_scale)
+            return DeskTraining(result, float(meta["seconds"]))
     t0 = time.monotonic()
     result = train.train(tc)
     seconds = time.monotonic() - t0
     os.makedirs(CACHE_DIR, exist_ok=True)
     train.save_checkpoint(ckpt_path, result.params,
-                          step=len(result.history) * 50,
                           input_scale=result.input_scale)
     json.dump({"history": [list(st) for st in result.history],
                "best_epoch": result.best_epoch,
@@ -88,22 +91,17 @@ def desk_eval(desk_training):
     p, s2 = sysp.power, sysp.sigma2
 
     def wsr_per_sample(w_batch):
-        return np.array([
-            beamform.wsr(h, w, s2, bandwidth=sysp.bandwidth,
-                         weights=wt).weighted_sum
-            for h, w in zip(h_test, w_batch)])
-
-    def classical(maker):
-        return wsr_per_sample([maker(h).w for h in h_test])
+        return beamform.wsr(h_test, w_batch, s2, bandwidth=sysp.bandwidth,
+                            weights=wt).weighted_sum
 
     rates = {
-        "mrt_local": classical(lambda h: beamform.mrt_local(h, p)),
-        "zf_local": classical(lambda h: beamform.zf_local(h, p)),
-        "mmse_local": classical(lambda h: beamform.mmse_local(h, p, s2)),
-        "zf_global": classical(
-            lambda h: beamform.zf_global(h, sysp.k_sats * p)),
-        "mmse_global": classical(
-            lambda h: beamform.mmse_global(h, sysp.k_sats * p, s2)),
+        "mrt_local": wsr_per_sample(beamform.mrt_local(h_test, p)),
+        "zf_local": wsr_per_sample(beamform.zf_local(h_test, p)),
+        "mmse_local": wsr_per_sample(beamform.mmse_local(h_test, p, s2)),
+        "zf_global": wsr_per_sample(
+            beamform.zf_global(h_test, sysp.k_sats * p)),
+        "mmse_global": wsr_per_sample(
+            beamform.mmse_global(h_test, sysp.k_sats * p, s2)),
     }
     sys_scaled = train.SystemParams(
         sysp.k_sats, sysp.m_users, sysp.n_antennas, power=p, sigma2=s2,

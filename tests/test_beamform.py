@@ -48,15 +48,21 @@ class TestWsr:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(31)
         weights = np.array([0.5, 1.0, 2.0, 0.25])
-        for _ in range(20):
-            h = rand_channel(rng)
-            w = rand_channel(rng)
+        hs = rand_channel(rng, k=20 * 2).reshape(20, 2, 4, 4)
+        ws = rand_channel(rng, k=20 * 2).reshape(20, 2, 4, 4)
+        stacked = beamform.wsr(hs, ws, sigma2=0.7, bandwidth=1.3,
+                               weights=weights)
+        assert stacked.weighted_sum.shape == (20,)
+        for b, (h, w) in enumerate(zip(hs, ws)):
+            want_total, want_rates = wsr_loops(h, w, 0.7, 1.3, weights)
             rep = beamform.wsr(h, w, sigma2=0.7, bandwidth=1.3,
                                weights=weights)
-            want_total, want_rates = wsr_loops(h, w, 0.7, 1.3, weights)
-            assert rep.weighted_sum == pytest.approx(want_total, rel=1e-12)
-            np.testing.assert_allclose(rep.per_user_rates, want_rates,
-                                       rtol=1e-12)
+            for got in (rep, beamform.RateReport(
+                    stacked.per_user_rates[b], stacked.weighted_sum[b])):
+                assert got.weighted_sum == pytest.approx(want_total,
+                                                         rel=1e-12)
+                np.testing.assert_allclose(got.per_user_rates, want_rates,
+                                           rtol=1e-12)
 
     def test_phase_rotation_invariance(self):
         # rotating one user's stacked channel leaves every rate unchanged
@@ -178,6 +184,22 @@ class TestZf:
         h[0, 1] = h[0, 0]
         with pytest.raises(beamform.SingularChannelError):
             beamform.zf_local(h, 1.0)
+
+    def test_singular_sample_in_stack_is_named(self):
+        rng = np.random.default_rng(65)
+        h = rand_channel(rng, k=3 * 2, m=2, n=2).reshape(3, 2, 2, 2)
+        h[1, 0, 1] = 2.0 * h[1, 0, 0]  # one satellite of sample 1
+        with pytest.raises(beamform.SingularChannelError,
+                           match="at sample 1, satellite 0:"):
+            beamform.zf_local(h, 1.0)
+        beamform.zf_global(h, 1.0)  # the stacked system keeps full rank
+        h[2, :, 1] = -1j * h[2, :, 0]  # both satellites of sample 2
+        with pytest.raises(beamform.SingularChannelError,
+                           match="at sample 2, stacked system:"):
+            beamform.zf_global(h, 1.0)
+        with pytest.raises(beamform.SingularChannelError,
+                           match="at satellite 0:"):
+            beamform.zf_local(h[2], 1.0)
 
     def test_trace_normalization_budget(self):
         rng = np.random.default_rng(64)

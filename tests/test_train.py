@@ -366,35 +366,27 @@ class TestInference:
 
 
 class TestCheckpoint:
-    def test_roundtrip_with_state(self, tmp_path):
-        params = make_params(24)
-        state = train.init_adam_state(params)
-        rng = np.random.default_rng(25)
-        g = train.GradientSet(
-            layers=[(rng.normal(size=l.w.shape), rng.normal(size=l.b.shape))
-                    for l in params.layers])
-        params, state = train.adam_step(params, g, state, 1e-3)
-        rng_state = np.random.Generator(np.random.Philox(9)).bit_generator \
-            .state
+    def test_roundtrip_params_and_scale(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        train.save_checkpoint(path, params, adam_states=[state], step=123,
-                              input_scale=2.5e-7, rng_state=rng_state,
-                              extra={"note": "unit"})
-        ck = train.load_checkpoint(path)
-        assert ck.step == 123
-        assert ck.input_scale == 2.5e-7
-        assert ck.extra == {"note": "unit"}
-        restored = np.random.Generator(np.random.Philox())
-        restored.bit_generator.state = ck.rng_state
-        reference = np.random.Generator(np.random.Philox(9))
-        np.testing.assert_array_equal(restored.integers(1 << 30, size=8),
-                                      reference.integers(1 << 30, size=8))
-        np.testing.assert_array_equal(ck.params.layers[0].w,
-                                      params.layers[0].w)
-        st = ck.adam_states[0]
-        assert st.t == state.t
-        np.testing.assert_array_equal(st.m[3][0], state.m[3][0])
-        np.testing.assert_array_equal(st.v[7][1], state.v[7][1])
+        for params in (make_params(24), [make_params(25), make_params(26)]):
+            train.save_checkpoint(path, params, input_scale=2.5e-7)
+            ck = train.load_checkpoint(path)
+            assert ck.input_scale == 2.5e-7
+            want = params if isinstance(params, list) else [params]
+            assert len(ck.params_list) == len(want)
+            for got, ref in zip(ck.params_list, want):
+                assert got.dims == ref.dims
+                for a, b in zip(got.layers, ref.layers):
+                    np.testing.assert_array_equal(a.w, b.w)
+                    np.testing.assert_array_equal(a.b, b.b)
+
+    def test_rejects_old_format(self, tmp_path):
+        # the first container held Adam moments and an RNG trailer
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(b"LEOCKPT1" + b"\0" * 32)
+        with pytest.raises(gnn.ArtifactError,
+                           match="older checkpoint format, retrain"):
+            train.load_checkpoint(path)
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
