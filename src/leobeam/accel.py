@@ -8,10 +8,22 @@ network: `gnn._forward_group` with each dense layer on the integer
 datapath.  Any stack of satellite graphs runs as one pass, each graph with
 its own activation scales.
 
+Code products run on float64 BLAS and are exact: every partial sum is an
+integer of magnitude at most k * 2^(2(bits-1)) for depth k, and `sa_gemm`
+admits only depths where that plus 2^31 of bias headroom stays within
+2^53, so every sum is representable whatever order BLAS adds in.  That
+covers every depth the 8-bit accumulator guard admits (k <= 131,072); at
+16 bits it caps the depth at 2^23 - 2 and deeper products raise
+`CapacityError` naming the bound.  The bias add, the overflow checks,
+ReLU and dequantization stay in exact-integer float64.
+
 The model is behavioral: cycle counts follow the stated formulas, not a
 synthesized design.  Weights and biases stream from off-chip once per
 inference; activations between fused layers stay on-chip and only the
-network input and final output cross the bus.
+network input and final output cross the bus.  Bias codes are 32-bit at
+both code widths, a modeled hardware limit: a layer whose bias needs more
+than 32 bits at its product scale raises `CapacityError`, also at 16 bits
+where the accumulator is 64-bit.
 """
 
 from __future__ import annotations
@@ -21,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gnn import (ArtifactError, GnnDims, GnnParams, FcLayer, LayerSpec,
-                  layer_plan, read_exact, _counted, _forward_group,
-                  _read_header, _write_header)
+from .gnn import (GnnDims, GnnParams, FcLayer, LayerSpec, layer_plan,
+                  _counted, _forward_group)
 
 
 class CapacityError(RuntimeError):
@@ -96,8 +107,8 @@ class QuantizedTensor:
             raise ValueError("codes must be int8 or int16")
         if np.any(np.asarray(self.scale) <= 0):
             raise ValueError("scale must be positive")
-        qmax = 2 ** (self.bits - 1) - 1
-        if np.abs(self.codes, dtype=np.int32).max(initial=0) > qmax:
+        # the dtype caps codes at +qmax; only its most negative value is out
+        if self.codes.min(initial=0) < -(2 ** (self.bits - 1) - 1):
             raise ValueError("codes exceed the representable range")
 
     @property
@@ -108,7 +119,11 @@ class QuantizedTensor:
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest with halves away from zero (not banker's)."""
     x = np.asarray(x)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    # x + copysign(0.5, x) is -(|x| + 0.5) exactly for negative x, so its
+    # truncation equals sign(x) * floor(|x| + 0.5)
+    y = np.copysign(0.5, x, out=np.empty(x.shape))
+    y += x
+    return np.trunc(y, out=y)
 
 
 def quantize(x: np.ndarray, bits: int,
@@ -121,16 +136,18 @@ def quantize(x: np.ndarray, bits: int,
     if bits not in (8, 16):
         raise ValueError("bits must be 8 or 16")
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("cannot quantize non-finite values")
     qmax = 2 ** (bits - 1) - 1
     if rows is None:
         amax = np.abs(x).max(initial=0.0)
     else:
         amax = np.abs(x.reshape(-1, rows, x.shape[1])).max(
             axis=(1, 2), initial=0.0).repeat(rows)[:, None]
+    # the maximum propagates NaN and inf, so it screens every value
+    if not np.all(np.isfinite(amax)):
+        raise ValueError("cannot quantize non-finite values")
     scale = np.where(amax == 0.0, 1.0, amax / qmax)
-    codes = np.clip(round_half_away(x / scale), -qmax, qmax)
+    codes = round_half_away(x / scale)
+    np.clip(codes, -qmax, qmax, out=codes)
     dtype = np.int8 if bits == 8 else np.int16
     return QuantizedTensor(codes=codes.astype(dtype),
                            scale=float(scale) if rows is None else scale)
@@ -156,9 +173,18 @@ def gemm_cycles(m: int, k: int, n: int, cfg: AcceleratorConfig) -> int:
     return tiles_m * tiles_n * (k + chunks * drain)
 
 
+# Code products run as float64 GEMMs; sums up to this magnitude are exact,
+# leaving 2^31 for the 32-bit bias codes added after the product.
+_EXACT_SUM = 2 ** 53 - 2 ** 31
+
+
 def sa_gemm(aq: QuantizedTensor, bq: QuantizedTensor,
             cfg: AcceleratorConfig):
-    """Exact integer product of code matrices plus modeled cycles."""
+    """Exact integer product of code matrices plus modeled cycles.
+
+    The product runs on float64 BLAS, exact at every admitted depth (see
+    the module docstring), and is returned in `cfg.acc_dtype`.
+    """
     if aq.codes.ndim != 2 or bq.codes.ndim != 2:
         raise ValueError("sa_gemm expects 2-D operands")
     m, k = aq.shape
@@ -169,12 +195,17 @@ def sa_gemm(aq: QuantizedTensor, bq: QuantizedTensor,
         raise ValueError("operand bit-widths disagree")
     if aq.bits != cfg.bits:
         raise ValueError("operand bit-width disagrees with config")
-    limit = 2 ** (cfg.acc_bits - 1) // (2 ** (aq.bits - 1)) ** 2
+    unit = (2 ** (aq.bits - 1)) ** 2
+    limit = 2 ** (cfg.acc_bits - 1) // unit
     if k > limit:
         raise CapacityError(
             f"depth {k} exceeds the {cfg.acc_bits}-bit accumulator "
             f"guarantee of {limit} products at {aq.bits}-bit codes")
-    acc = aq.codes.astype(np.int64) @ bq.codes.astype(np.int64)
+    if k > _EXACT_SUM // unit:
+        raise CapacityError(
+            f"depth {k} exceeds the float64 exactness bound of "
+            f"{_EXACT_SUM // unit} products at {aq.bits}-bit codes")
+    acc = aq.codes.astype(np.float64) @ bq.codes.astype(np.float64)
     return acc.astype(cfg.acc_dtype), gemm_cycles(m, k, n, cfg)
 
 
@@ -287,21 +318,25 @@ def _q_dense(x: np.ndarray, layer: FcLayer, spec: LayerSpec, m: int,
     quantized with their own scale and the weights per tensor; one exact
     integer product serves all graphs.  The bias is added as 32-bit codes
     at each graph's product scale, ReLU applied on accumulators, and the
-    result dequantized for the next stage.
+    result dequantized for the next stage.  Until the dequantization every
+    value is an integer below 2^53 held in float64, so each step is exact.
     """
     aq = quantize(x, cfg.bits, rows=m)
     wq = quantize(layer.w, cfg.bits)
     acc, cycles = sa_gemm(aq, wq, cfg)
     sab = aq.scale * wq.scale
-    bias_codes = round_half_away(layer.b / sab)
+    # one bias code row per graph: the rows of a graph share its scale
+    bias_codes = round_half_away(layer.b / sab[::m])
     if np.abs(bias_codes).max(initial=0.0) > _INT32_MAX:
         raise CapacityError(f"bias codes overflow 32 bits at {spec.name}")
-    total = acc.astype(np.int64) + bias_codes.astype(np.int64)
-    if np.abs(total).max(initial=0) >= 2 ** (cfg.acc_bits - 1):
+    total = (acc.reshape(-1, m, acc.shape[1])
+             + bias_codes[:, None, :]).reshape(acc.shape)
+    if np.abs(total).max(initial=0.0) >= 2 ** (cfg.acc_bits - 1):
         raise CapacityError(f"accumulator overflow after bias at {spec.name}")
     if spec.relu:
-        total = np.maximum(total, 0)
-    return total.astype(float) * sab, cycles
+        np.maximum(total, 0.0, out=total)
+    total *= sab
+    return total, cycles
 
 
 def quantized_forward_batch(params: GnnParams, h: np.ndarray, power: float,
@@ -338,54 +373,3 @@ def quantized_forward(params: GnnParams, h_k: np.ndarray, power: float,
     if h_k.ndim != 2:
         raise ValueError("per-satellite channel must have shape (M, N)")
     return quantized_forward_batch(params, h_k, power, cfg, counts)
-
-
-# --- quantized parameter container ---------------------------------------------
-
-@dataclass
-class QuantizedParams:
-    dims: GnnDims
-    bits: int
-    layers: list  # (QuantizedTensor weights, float64 bias vector) pairs
-
-    def to_params(self) -> GnnParams:
-        """Dequantized float parameters; re-quantizing is a fixed point."""
-        return GnnParams(dims=self.dims,
-                         layers=[FcLayer(w=dequantize(wq), b=b.copy())
-                                 for wq, b in self.layers])
-
-
-def quantize_params(params: GnnParams, bits: int) -> QuantizedParams:
-    layers = [(quantize(l.w, bits), np.asarray(l.b, dtype=np.float64))
-              for l in params.layers]
-    return QuantizedParams(dims=params.dims, bits=bits, layers=layers)
-
-
-def save_quantized(path, qparams: QuantizedParams) -> None:
-    with open(path, "wb") as fh:
-        _write_header(fh, qparams.dims, qparams.bits)
-        for wq, b in qparams.layers:
-            fh.write(np.float64(wq.scale).tobytes())
-            fh.write(np.ascontiguousarray(wq.codes).tobytes())
-            fh.write(np.ascontiguousarray(b, dtype=np.float64).tobytes())
-
-
-def load_quantized(path) -> QuantizedParams:
-    with open(path, "rb") as fh:
-        tag, dims = _read_header(fh)
-        if tag not in (8, 16):
-            raise ArtifactError(f"{path}: container holds float parameters "
-                                f"(tag {tag}), use the float loader")
-        dtype = np.int8 if tag == 8 else np.int16
-        itemsize = np.dtype(dtype).itemsize
-        layers = []
-        for spec in layer_plan(dims):
-            (scale,) = np.frombuffer(read_exact(fh, 8), dtype=np.float64)
-            codes = np.frombuffer(
-                read_exact(fh, itemsize * spec.fan_in * spec.fan_out),
-                dtype=dtype).reshape(spec.fan_in, spec.fan_out).copy()
-            bias = np.frombuffer(read_exact(fh, 8 * spec.fan_out),
-                                 dtype=np.float64).copy()
-            layers.append((QuantizedTensor(codes=codes, scale=float(scale)),
-                           bias))
-    return QuantizedParams(dims=dims, bits=tag, layers=layers)

@@ -491,19 +491,10 @@ def mac_count(m_users: int, n_antennas: int, dims: GnnDims) -> MacCounts:
 # --- parameter container ------------------------------------------------------
 #
 # Flat binary layout, little endian:
-#   magic "LEOGNNP1" | u32 dtype tag (1=f8, 8=int8 codes, 16=int16 codes)
+#   magic "LEOGNNP1" | u32 dtype tag (1=f8; readers refuse any other)
 #   u32 n_antennas | u32 l1..l8 | u32 flags (bit 0: wide output) | u32 layers
 #   then per layer in `layer_plan` order:
-#     float tags:  weight (fan_in * fan_out) row major, bias (fan_out)
-#     quant tags:  f8 weight scale, integer codes row major, f8 bias (fan_out)
-
-def _write_header(fh, dims: GnnDims, tag: int) -> None:
-    fh.write(_PARAMS_MAGIC)
-    flags = 1 if dims.wide_output else 0
-    fh.write(struct.pack("<12I", tag, dims.n_antennas, dims.l1, dims.l2,
-                         dims.l3, dims.l4, dims.l5, dims.l6, dims.l7,
-                         dims.l8, flags, len(layer_plan(dims))))
-
+#     weight (fan_in * fan_out) row major, bias (fan_out), all f8
 
 def _stream_name(fh) -> str:
     return str(getattr(fh, "name", "stream"))
@@ -545,7 +536,12 @@ def _read_header(fh):
 
 
 def write_params(fh, params: GnnParams) -> None:
-    _write_header(fh, params.dims, _F8_TAG)
+    dims = params.dims
+    fh.write(_PARAMS_MAGIC)
+    fh.write(struct.pack("<12I", _F8_TAG, dims.n_antennas, dims.l1, dims.l2,
+                         dims.l3, dims.l4, dims.l5, dims.l6, dims.l7,
+                         dims.l8, 1 if dims.wide_output else 0,
+                         len(layer_plan(dims))))
     for layer in params.layers:
         fh.write(np.ascontiguousarray(layer.w, dtype=np.float64).tobytes())
         fh.write(np.ascontiguousarray(layer.b, dtype=np.float64).tobytes())
@@ -555,8 +551,7 @@ def read_params(fh) -> GnnParams:
     tag, dims = _read_header(fh)
     if tag != _F8_TAG:
         raise ArtifactError(f"{_stream_name(fh)}: container tag {tag} does "
-                            "not hold float64 parameters; quantized codes "
-                            "(tags 8, 16) use the accelerator loader")
+                            "not hold float64 parameters")
     layers = []
     for spec in layer_plan(dims):
         w = np.frombuffer(read_exact(fh, 8 * spec.fan_in * spec.fan_out),

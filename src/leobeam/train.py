@@ -291,33 +291,41 @@ def _params_list(params) -> list:
     return list(params) if isinstance(params, (list, tuple)) else [params]
 
 
-def _engine(params, batch, sys: SystemParams, want_grads: bool = True,
-            only_satellite: int | None = None):
-    """Loss, mean WSR, beams and (if wanted) gradients for a channel batch.
+def _forward_beams(params, batch, sys: SystemParams, keep: bool):
+    """Scaled channels, beams and (with keep) forward caches for a batch.
 
     Parameter set i serves satellites i, i + P, i + 2P, ... of the P sets
     given; those satellites run stacked through one forward pass.
     """
     params_list = _params_list(params)
     h = _as_batch(batch)
-    b, k, m, n = h.shape
+    _, k, m, n = h.shape
     if (k, m, n) != (sys.k_sats, sys.m_users, sys.n_antennas):
         raise ValueError(f"channel shape {(k, m, n)} does not match system "
                          f"{(sys.k_sats, sys.m_users, sys.n_antennas)}")
     f64 = params_list[0].layers[0].w.dtype == np.float64
     hs = h / sys.input_scale
     hs = hs.astype(np.complex128 if f64 else np.complex64)
-    sigma2 = sys.sigma2 / sys.input_scale ** 2
-    weights = sys.weight_vector()
-
     n_sets = len(params_list)
     caches = []
     w = np.empty_like(hs)
     for i, p in enumerate(params_list[:k]):
         cache, wg = _forward_group(p, hs[:, i::n_sets].transpose(1, 0, 2, 3),
-                                   sys.power, want_grads)
+                                   sys.power, keep)
         caches.append(cache)
         w[:, i::n_sets] = wg.transpose(1, 0, 2, 3)
+    return hs, w, caches
+
+
+def _engine(params, batch, sys: SystemParams, want_grads: bool = True,
+            only_satellite: int | None = None):
+    """Loss, mean WSR, beams and (if wanted) gradients for a channel batch."""
+    params_list = _params_list(params)
+    hs, w, caches = _forward_beams(params, batch, sys, want_grads)
+    b, k, m, _ = hs.shape
+    n_sets = len(params_list)
+    sigma2 = sys.sigma2 / sys.input_scale ** 2
+    weights = sys.weight_vector()
     c, sinr, intf = rate_terms(hs, w, sigma2)
     rates = sys.bandwidth * np.log2(1.0 + sinr)
     mean_wsr = float((rates @ weights).mean())
@@ -364,15 +372,14 @@ def infer_beamformers(params, realization, sys: SystemParams) -> BeamformerSet:
          else np.asarray(realization))
     if h.ndim != 3:
         raise ValueError("expected a single (K, M, N) channel realization")
-    _, _, w, _ = _engine(params, h[None], sys, want_grads=False)
+    _, w, _ = _forward_beams(params, h[None], sys, keep=False)
     return BeamformerSet(w=np.asarray(w[0], dtype=complex),
                          power_budget=sys.power, scope="per_satellite")
 
 
 def infer_batch(params, h, sys: SystemParams) -> np.ndarray:
     """Beamformers for a channel batch, shape (B, K, M, N)."""
-    _, _, w, _ = _engine(params, h, sys, want_grads=False)
-    return w
+    return _forward_beams(params, h, sys, keep=False)[1]
 
 
 # --- optimizer -----------------------------------------------------------------

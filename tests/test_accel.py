@@ -9,13 +9,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leobeam import accel, gnn
 from leobeam.accel import (AcceleratorConfig, CapacityError, QuantizedTensor,
                            dequantize, gemm_cycles, latency_model, layer_bytes,
-                           layer_latency, load_quantized, quantize,
-                           quantize_params, quantized_forward, round_half_away,
-                           sa_gemm, save_quantized)
+                           layer_latency, quantize, quantized_forward,
+                           round_half_away, sa_gemm)
 
 # frozen: ceil(512/16)^2 * (512 + ceil(512/64) * (2*16-2)) = 1024 * 752
 GEMM_CYCLES_512_CUBE = 770_048
@@ -45,6 +45,43 @@ def random_codes(rng, shape, bits):
     qmax = 2 ** (bits - 1) - 1
     dtype = np.int8 if bits == 8 else np.int16
     return rng.integers(-qmax, qmax + 1, size=shape).astype(dtype)
+
+
+def int64_dense(bits, m):
+    """The dense stage with int64 products and sums throughout.
+
+    It has its own quantizer and rounding, sign(x) * floor(|x| + 0.5), so
+    the accelerator's float64 datapath is checked against independent
+    integer arithmetic.
+    """
+    acc_bits = 32 if bits == 8 else 64
+    qmax = 2 ** (bits - 1) - 1
+
+    def rnd(x):
+        return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+    def codes(x, rows=None):
+        if rows is None:
+            amax = np.abs(x).max(initial=0.0)
+        else:
+            amax = np.abs(x.reshape(-1, rows, x.shape[1])).max(
+                axis=(1, 2), initial=0.0).repeat(rows)[:, None]
+        scale = np.where(amax == 0.0, 1.0, amax / qmax)
+        return np.clip(rnd(x / scale), -qmax, qmax).astype(np.int64), scale
+
+    def dense(x, layer, spec):
+        a, sa = codes(x, m)
+        w, sw = codes(layer.w)
+        sab = sa * sw
+        bias = rnd(layer.b / sab)
+        assert np.abs(bias).max(initial=0.0) <= 2 ** 31 - 1
+        total = a @ w + bias.astype(np.int64)
+        assert np.abs(total).max(initial=0) < 2 ** (acc_bits - 1)
+        if spec.relu:
+            total = np.maximum(total, 0)
+        return total.astype(float) * sab
+
+    return dense
 
 
 class TestRounding:
@@ -207,6 +244,41 @@ class TestGemm:
         b2 = QuantizedTensor(np.zeros((k + 1, 1), dtype=np.int8), 1.0)
         with pytest.raises(CapacityError, match="131072"):
             sa_gemm(a2, b2, cfg)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(bits=st.sampled_from((8, 16)), m=st.integers(1, 24),
+           k=st.integers(1, 300), n=st.integers(1, 24),
+           extreme=st.sampled_from((0, 1, -1)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_int64_product(self, bits, m, k, n, extreme, seed):
+        rng = np.random.default_rng(seed)
+        qmax = 2 ** (bits - 1) - 1
+        a = random_codes(rng, (m, k), bits)
+        b = random_codes(rng, (k, n), bits)
+        if extreme:
+            # all-+-qmax codes give the largest partial sums per depth
+            a[:] = qmax
+            b[:] = extreme * qmax
+        cfg = AcceleratorConfig(bits=bits)
+        acc, _ = sa_gemm(QuantizedTensor(a, 1.0), QuantizedTensor(b, 1.0), cfg)
+        assert acc.dtype == cfg.acc_dtype
+        assert np.array_equal(acc, a.astype(np.int64) @ b.astype(np.int64))
+
+    def test_exactness_bound_at_16_bits(self):
+        # float64 sums are exact up to 2^53; 2^31 of it is the bias codes'
+        # headroom, so the depth cap is (2^53 - 2^31) // 2^30 = 2^23 - 2
+        bound = 2 ** 23 - 2
+        qmax = 2 ** 15 - 1
+        assert bound * qmax ** 2 + 2 ** 31 <= 2 ** 53
+        assert (bound + 1) * 2 ** 30 + 2 ** 31 > 2 ** 53
+        cfg = AcceleratorConfig(bits=16)
+        k = bound + 1   # far inside the 64-bit accumulator's 2^33
+        a = QuantizedTensor(np.zeros((1, k), dtype=np.int16), 1.0)
+        b = QuantizedTensor(np.zeros((k, 1), dtype=np.int16), 1.0)
+        with pytest.raises(CapacityError,
+                           match=f"float64 exactness bound of {bound} "):
+            sa_gemm(a, b, cfg)
 
 
 class TestLayerAccounting:
@@ -398,6 +470,21 @@ class TestQuantizedForward:
         with pytest.raises(CapacityError, match="after bias"):
             quantized_forward(params, h, 2.0, AcceleratorConfig(bits=8))
 
+    def test_bias_code_limit_at_16_bits(self):
+        # bias codes are 32-bit at both widths, though the 16-bit
+        # accumulator is 64-bit: the limit is the modeled bias register
+        params = gnn.init_params(self.dims,
+                                 np.random.Generator(np.random.Philox(9)))
+        x = np.concatenate([self.h.real, self.h.imag], axis=-1)
+        sab = quantize(x, 16).scale * quantize(params.layers[0].w, 16).scale
+        cfg = AcceleratorConfig(bits=16)
+        params.layers[0].b[:] = sab * (2 ** 31 - 1)
+        w, _ = quantized_forward(params, self.h, 2.0, cfg)
+        assert np.all(np.isfinite(w))
+        params.layers[0].b[:] = sab * 2 ** 31
+        with pytest.raises(CapacityError, match="32 bits at in_fc1"):
+            quantized_forward(params, self.h, 2.0, cfg)
+
 
 class TestQuantizedStack:
     """quantized_forward_batch against one quantized_forward per graph."""
@@ -433,6 +520,26 @@ class TestQuantizedStack:
             # all six graphs stream through each layer as one operand
             assert report == latency_model(dims, 6 * m, cfg)
 
+    @pytest.mark.parametrize("bits", [8, 16])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_matches_int64_datapath(self, bits, m):
+        _, params, rng, h = self.make(m, seed=78)
+        h[0, 1] *= 1e-2
+        h[2, 0] *= 1e3
+        h[1, 1] = 0.0
+        cfg = AcceleratorConfig(bits=bits)
+        # the all-zero graph runs with zero biases: with nonzero ones its
+        # later layers' scales shrink until 16-bit bias codes pass 32 bits
+        for biased in (False, True):
+            if biased:
+                h[1, 1] = 0.5 * h[0, 0]
+                for lay in params.layers:
+                    lay.b[:] = rng.normal(scale=1e-4, size=lay.b.shape)
+            w, _ = accel.quantized_forward_batch(params, h, 1.5, cfg)
+            _, want = gnn._forward_group(params, h, 1.5,
+                                         dense=int64_dense(bits, m))
+            assert w.tobytes() == want.tobytes()
+
     def test_one_overflowing_graph_names_layer(self):
         _, params, rng, h = self.make(4)
         for lay in params.layers:
@@ -445,66 +552,3 @@ class TestQuantizedStack:
                     quantized_forward(params, h[b, k], 1.0, cfg)
         with pytest.raises(CapacityError, match="bias codes .* at in_fc1"):
             accel.quantized_forward_batch(params, h, 1.0, cfg)
-
-
-class TestQuantizedContainer:
-    def make(self, bits):
-        dims = gnn.scaled_dims(3, 16)
-        params = gnn.init_params(dims,
-                                 np.random.Generator(np.random.Philox(42)))
-        return params, quantize_params(params, bits)
-
-    @pytest.mark.parametrize("bits", [8, 16])
-    def test_roundtrip(self, tmp_path, bits):
-        params, qp = self.make(bits)
-        path = tmp_path / "q.bin"
-        save_quantized(path, qp)
-        back = load_quantized(path)
-        assert back.bits == bits
-        assert back.dims == qp.dims
-        assert len(back.layers) == 11
-        for (wq, b), (wq2, b2) in zip(qp.layers, back.layers):
-            assert np.array_equal(wq.codes, wq2.codes)
-            assert wq2.scale == wq.scale
-            assert np.array_equal(b, b2)
-            assert b2.dtype == np.float64
-
-    def test_requantize_is_fixed_point(self):
-        _, qp = self.make(8)
-        again = quantize_params(qp.to_params(), 8)
-        for (wq, b), (wq2, b2) in zip(qp.layers, again.layers):
-            assert np.array_equal(wq.codes, wq2.codes)
-            assert wq2.scale == pytest.approx(wq.scale, rel=1e-15)
-            assert np.array_equal(b, b2)
-
-    def test_rejects_float_container(self, tmp_path):
-        params, _ = self.make(8)
-        path = tmp_path / "f.bin"
-        gnn.save_params(path, params)
-        with pytest.raises(ValueError, match="float"):
-            load_quantized(path)
-
-    def test_truncated_or_oversized_rejected(self, tmp_path):
-        params, qp = self.make(8)
-        fpath, qpath = tmp_path / "f.bin", tmp_path / "q.bin"
-        gnn.save_params(fpath, params)
-        save_quantized(qpath, qp)
-        for path, loader in ((fpath, gnn.load_params),
-                             (qpath, load_quantized)):
-            data = path.read_bytes()
-            for cut in (4, 20, 70, len(data) // 2, len(data) - 1):
-                path.write_bytes(data[:cut])
-                with pytest.raises(gnn.ArtifactError):
-                    loader(path)
-            # l1 claims 2**31 neurons: rejected before any read that large
-            path.write_bytes(data[:16] + (2 ** 31).to_bytes(4, "little")
-                             + data[20:])
-            with pytest.raises(gnn.ArtifactError, match="truncated"):
-                loader(path)
-
-    def test_float_loader_rejects_quantized(self, tmp_path):
-        _, qp = self.make(8)
-        path = tmp_path / "q.bin"
-        save_quantized(path, qp)
-        with pytest.raises(ValueError):
-            gnn.load_params(path)

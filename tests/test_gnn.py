@@ -237,3 +237,26 @@ class TestContainer:
     def test_rejects_bad_magic(self):
         with pytest.raises(ValueError):
             gnn.read_params(io.BytesIO(b"XXXXXXXX" + b"\0" * 64))
+
+    def test_truncated_or_oversized_rejected(self, tmp_path):
+        path = tmp_path / "f.bin"
+        gnn.save_params(path, make_params(42, gnn.scaled_dims(3, 16)))
+        data = path.read_bytes()
+        for cut in (4, 20, 70, len(data) // 2, len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(gnn.ArtifactError):
+                gnn.load_params(path)
+        # l1 claims 2**31 neurons: rejected before any read that large
+        path.write_bytes(data[:16] + (2 ** 31).to_bytes(4, "little")
+                         + data[20:])
+        with pytest.raises(gnn.ArtifactError, match="truncated"):
+            gnn.load_params(path)
+
+    def test_rejects_quantized_tags(self):
+        buf = io.BytesIO()
+        gnn.write_params(buf, make_params(23))
+        data = buf.getvalue()
+        for tag in (8, 16):   # the tags of 8- and 16-bit code containers
+            patched = data[:8] + tag.to_bytes(4, "little") + data[12:]
+            with pytest.raises(gnn.ArtifactError, match=f"tag {tag} "):
+                gnn.read_params(io.BytesIO(patched))
