@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
-
 COND_LIMIT = 1e12       # condition number above which ZF refuses to invert
 ZERO_POWER = 1e-30      # blocks below this raw power are left at zero
 
@@ -47,24 +45,17 @@ class RateReport:
     weighted_sum: np.ndarray     # (...) bits/s; a scalar for one realization
 
 
-def _channel_tensor(h) -> np.ndarray:
-    arr = h.h if isinstance(h, ChannelRealization) else np.asarray(h)
+def _tensor(x, what: str) -> np.ndarray:
+    arr = x.w if isinstance(x, BeamformerSet) else np.asarray(x)
     if arr.ndim < 3:
-        raise ValueError("channel tensor must have shape (..., K, M, N)")
-    return arr
-
-
-def _beamformer_tensor(w) -> np.ndarray:
-    arr = w.w if isinstance(w, BeamformerSet) else np.asarray(w)
-    if arr.ndim < 3:
-        raise ValueError("beamformer tensor must have shape (..., K, M, N)")
+        raise ValueError(f"{what} tensor must have shape (..., K, M, N)")
     return arr
 
 
 def stream_gains(h, w) -> np.ndarray:
     """c[..., m, i] = sum_k h[..., k, m]^H w[..., k, i], shape (..., M, M)."""
-    hh = _channel_tensor(h)
-    ww = _beamformer_tensor(w)
+    hh = _tensor(h, "channel")
+    ww = _tensor(w, "beamformer")
     if hh.shape != ww.shape:
         raise ValueError(f"shape mismatch: channel {hh.shape} vs "
                          f"beamformer {ww.shape}")
@@ -112,7 +103,7 @@ def enforce_power(w, power: float, scope: str = "per_satellite") -> BeamformerSe
     total:         each realization's whole tensor is scaled to power watts.
     Blocks with raw power below ZERO_POWER stay identically zero.
     """
-    ww = _beamformer_tensor(w).astype(complex, copy=True)
+    ww = _tensor(w, "beamformer").astype(complex, copy=True)
     if power < 0.0:
         raise ValueError("power budget must be >= 0")
     if scope == "per_satellite":
@@ -184,7 +175,7 @@ def _beams(wt: np.ndarray) -> np.ndarray:
 
 def mrt_local(h, power: float) -> BeamformerSet:
     """Match each beam to its own channel: w[k,m] = sqrt(P/M) h[k,m]/|h[k,m]|."""
-    hh = _channel_tensor(h)
+    hh = _tensor(h, "channel")
     m_users = hh.shape[-2]
     norms = np.linalg.norm(hh, axis=-1)
     dead = norms**2 < ZERO_POWER
@@ -205,7 +196,7 @@ def zf_local(h, power: float, normalization: str = "per_stream") -> BeamformerSe
     The satellites' contributions to c[m,m] therefore add coherently, while
     every cross gain c[m,i], i != m, stays exactly zero.
     """
-    mats = _blocks(_channel_tensor(h))
+    mats = _blocks(_tensor(h, "channel"))
     _check_rank(mats, local=True)
     wt = _zf_normalize(_inverse_directions(mats), power, normalization)
     return BeamformerSet(w=_beams(wt), power_budget=power,
@@ -214,7 +205,7 @@ def zf_local(h, power: float, normalization: str = "per_stream") -> BeamformerSe
 
 def mmse_local(h, power: float, sigma2: float) -> BeamformerSet:
     """Per-satellite regularized inversion, regularizer M sigma2 / P."""
-    hh = _channel_tensor(h)
+    hh = _tensor(h, "channel")
     if power <= 0.0 or sigma2 <= 0.0:
         raise ValueError("mmse_local requires power > 0 and sigma2 > 0")
     reg = hh.shape[-2] * sigma2 / power
@@ -241,7 +232,7 @@ def _split(w_stack: np.ndarray, k_sats: int, n_ant: int) -> np.ndarray:
 def zf_global(h, total_power: float,
               normalization: str = "per_stream") -> BeamformerSet:
     """Zero forcing on the stacked NK-antenna system, total power budget."""
-    hh = _channel_tensor(h)
+    hh = _tensor(h, "channel")
     k_sats, _, n_ant = hh.shape[-3:]
     mats = _stacked(hh)
     _check_rank(mats, local=False)
@@ -252,7 +243,7 @@ def zf_global(h, total_power: float,
 
 def mmse_global(h, total_power: float, sigma2: float) -> BeamformerSet:
     """Regularized inversion on the stacked system, total power budget."""
-    hh = _channel_tensor(h)
+    hh = _tensor(h, "channel")
     if total_power <= 0.0 or sigma2 <= 0.0:
         raise ValueError("mmse_global requires power > 0 and sigma2 > 0")
     k_sats, m_users, n_ant = hh.shape[-3:]

@@ -9,7 +9,6 @@ Nakagami-m line-of-sight component with deterministic phase.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,24 +86,6 @@ class ChannelParams:
         for p in vals:
             if not 0.0 <= p < np.pi / 2:
                 raise ValueError("beam angle phi must lie in [0, pi/2)")
-
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_freq
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One channel draw: h has shape (K, M, N), complex."""
-
-    h: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        if self.h.ndim != 3:
-            raise ValueError("channel tensor must have shape (K, M, N)")
-        if not np.all(np.isfinite(self.h)):
-            raise ValueError("channel tensor contains non-finite entries")
 
 
 def bessel_j(order: int, x) -> float | np.ndarray:
@@ -220,21 +201,3 @@ def sample_channel_batch(params: ChannelParams, count: int, k_sats: int,
         full_scatter_phase=params.full_scatter_phase)
     amp = deterministic_amplitudes(params, m_users)
     return h_tilde * amp[None, None, :, None]
-
-
-def generate_channel(params: ChannelParams, k_sats: int, m_users: int,
-                     n_antennas: int, seed: int) -> ChannelRealization:
-    """One seeded channel realization.
-
-    The same (params, K, M, N, seed) always reproduces the same tensor
-    bit for bit; a Philox stream keyed by the seed supplies all draws.
-    """
-    if k_sats < 1 or m_users < 1 or n_antennas < 1:
-        raise ValueError("K, M and N must all be >= 1")
-    if n_antennas < m_users:
-        warnings.warn(
-            f"antenna count N={n_antennas} below user count M={m_users}; "
-            "zero-forcing baselines will be singular", stacklevel=2)
-    rng = np.random.Generator(np.random.Philox(seed))
-    h = sample_channel_batch(params, 1, k_sats, m_users, n_antennas, rng)[0]
-    return ChannelRealization(h=h, seed=seed)

@@ -1,9 +1,12 @@
 """Experiment configuration, scheme registry, and CSV artifact writers.
 
 Configuration comes from INI files with sections ``system``, ``fading``,
-``gnn``, ``train``, ``accel``, and ``run``.  Every key has a default, so an
-empty file is a valid config; unknown sections or keys are rejected so typos
-fail loudly instead of silently running the wrong experiment.
+``gnn``, ``train``, ``accel``, and ``run``.  `ExperimentConfig` is the one
+declaration of every key: each field's annotation picks its caster, and its
+`_key` names the section and holds the default, so an empty file is a valid
+config.  Unknown sections or keys are rejected so typos fail loudly instead
+of silently running the wrong experiment, and so are non-finite floats and
+values that the channel, training or accelerator settings reject.
 
 All run_* entry points write CSV files whose first line is a comment carrying
 the artifact name and the config hash.  Floats are serialized with repr() so
@@ -44,16 +47,8 @@ def dbw_to_watts(x: float) -> float:
     return 10.0 ** (x / 10.0)
 
 
-def watts_to_dbw(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_watts(x: float) -> float:
     return 10.0 ** ((x - 30.0) / 10.0)
-
-
-def watts_to_dbm(x: float) -> float:
-    return 10.0 * math.log10(x) + 30.0
 
 
 def dbi_to_linear(x: float) -> float:
@@ -65,7 +60,7 @@ def deg_to_rad(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# config schema
+# config schema: the fields of ExperimentConfig
 
 def _bool(s: str) -> bool:
     v = s.strip().lower()
@@ -76,84 +71,36 @@ def _bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _float_list(s: str):
-    return tuple(float(tok) for tok in s.split(",") if tok.strip())
+def _float(s: str) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError("not a finite number")
+    return v
 
 
-def _int_list(s: str):
-    return tuple(int(tok) for tok in s.split(",") if tok.strip())
+def _tuple_of(cast):
+    return lambda s: tuple(cast(tok.strip()) for tok in s.split(",")
+                           if tok.strip())
 
 
-def _str_list(s: str):
-    return tuple(tok.strip() for tok in s.split(",") if tok.strip())
-
-
-# section -> key -> (default string, caster)
-SCHEMA = {
-    "system": {
-        "k_sats": ("2", int),
-        "m_users": ("4", int),
-        "n_antennas": ("4", int),
-        "p_dbw": ("0.0", float),
-        "sigma2_dbm": ("-90.0", float),
-        "bandwidth_hz": ("50e6", float),
-        "weights": ("1", _float_list),
-        "phi_deg": ("0.01", _float_list),
-        "phi_3db_deg": ("0.4", float),
-        "b_max_dbi": ("52.0", float),
-        "d0_m": ("600e3", float),
-        "dh_m": ("0.0", float),
-        "carrier_freq_hz": ("20e9", float),
-    },
-    "fading": {
-        "b": ("0.063", float),
-        "m": ("2.0", float),
-        "omega": ("8.97e-4", float),
-        "los_phase_rad": ("0.0", float),
-        "full_scatter_phase": ("false", _bool),
-    },
-    "gnn": {
-        "scale_factor": ("1", int),
-        "wide_output": ("false", _bool),
-    },
-    "train": {
-        "epochs": ("200", int),
-        "batch_size": ("200", int),
-        "samples_per_epoch": ("10000", int),
-        "test_size": ("2000", int),
-        "lr0": ("1e-3", float),
-        "lr_decay": ("0.995", float),
-        "lr_decay_every": ("100", int),
-        "beta1": ("0.9", float),
-        "beta2": ("0.999", float),
-        "eps": ("1e-8", float),
-        "early_stop": ("true", _bool),
-        "patience": ("10", int),
-        "min_rel_improve": ("1e-3", float),
-        "tied": ("true", _bool),
-        "use_float32": ("false", _bool),
-        "auto_scale": ("true", _bool),
-    },
-    "accel": {
-        "sa_size": ("16", int),
-        "bus_bytes_per_cycle": ("8", int),
-        "clock_period_ns": ("10.0", float),
-        "tile_m": ("0", int),
-        "tile_k": ("64", int),
-        "tile_n": ("0", int),
-        "bits": ("8", int),
-    },
-    "run": {
-        "seed": ("0", int),
-        "out_dir": ("", str),
-        "checkpoint": ("", str),
-        "schemes": ("mrt_local,zf_local,mmse_local,zf_global,mmse_global",
-                    _str_list),
-        "eval_size": ("500", int),
-        "quant_size": ("500", int),
-        "latency_m_list": ("1,2,4,8", _int_list),
-    },
+# annotation -> caster from INI text
+_CASTERS = {
+    "int": int,
+    "float": _float,
+    "bool": _bool,
+    "str": str,
+    "tuple[int, ...]": _tuple_of(int),
+    "tuple[float, ...]": _tuple_of(_float),
+    "tuple[str, ...]": _tuple_of(str),
 }
+
+
+def _key(section: str, default, key: str | None = None):
+    """A setting read from ``[section] key`` (key defaults to the field
+    name), with its built-in default."""
+    return dataclasses.field(default=default,
+                             metadata={"section": section, "key": key})
+
 
 # stream labels for per-artifact RNG substreams
 _STREAM_EVAL = 1
@@ -165,56 +112,58 @@ _STREAM_QUANT = 3
 class ExperimentConfig:
     """Fully resolved experiment settings (linear units live in properties)."""
 
-    k_sats: int
-    m_users: int
-    n_antennas: int
-    p_dbw: float
-    sigma2_dbm: float
-    bandwidth_hz: float
-    weights: tuple
-    phi_deg: tuple
-    phi_3db_deg: float
-    b_max_dbi: float
-    d0_m: float
-    dh_m: float
-    carrier_freq_hz: float
-    fading_b: float
-    fading_m: float
-    fading_omega: float
-    los_phase_rad: float
-    full_scatter_phase: bool
-    scale_factor: int
-    wide_output: bool
-    epochs: int
-    batch_size: int
-    samples_per_epoch: int
-    test_size: int
-    lr0: float
-    lr_decay: float
-    lr_decay_every: int
-    beta1: float
-    beta2: float
-    eps: float
-    early_stop: bool
-    patience: int
-    min_rel_improve: float
-    tied: bool
-    use_float32: bool
-    auto_scale: bool
-    sa_size: int
-    bus_bytes_per_cycle: int
-    clock_period_ns: float
-    tile_m: int
-    tile_k: int
-    tile_n: int
-    bits: int
-    seed: int
-    out_dir: str
-    checkpoint: str
-    schemes: tuple
-    eval_size: int
-    quant_size: int
-    latency_m_list: tuple
+    k_sats: int = _key("system", 2)
+    m_users: int = _key("system", 4)
+    n_antennas: int = _key("system", 4)
+    p_dbw: float = _key("system", 0.0)
+    sigma2_dbm: float = _key("system", -90.0)
+    bandwidth_hz: float = _key("system", 50e6)
+    weights: tuple[float, ...] = _key("system", (1.0,))
+    phi_deg: tuple[float, ...] = _key("system", (0.01,))
+    phi_3db_deg: float = _key("system", 0.4)
+    b_max_dbi: float = _key("system", 52.0)
+    d0_m: float = _key("system", 600e3)
+    dh_m: float = _key("system", 0.0)
+    carrier_freq_hz: float = _key("system", 20e9)
+    fading_b: float = _key("fading", 0.063, "b")
+    fading_m: float = _key("fading", 2.0, "m")
+    fading_omega: float = _key("fading", 8.97e-4, "omega")
+    los_phase_rad: float = _key("fading", 0.0)
+    full_scatter_phase: bool = _key("fading", False)
+    scale_factor: int = _key("gnn", 1)
+    wide_output: bool = _key("gnn", False)
+    epochs: int = _key("train", 200)
+    batch_size: int = _key("train", 200)
+    samples_per_epoch: int = _key("train", 10000)
+    test_size: int = _key("train", 2000)
+    lr0: float = _key("train", 1e-3)
+    lr_decay: float = _key("train", 0.995)
+    lr_decay_every: int = _key("train", 100)
+    beta1: float = _key("train", 0.9)
+    beta2: float = _key("train", 0.999)
+    eps: float = _key("train", 1e-8)
+    early_stop: bool = _key("train", True)
+    patience: int = _key("train", 10)
+    min_rel_improve: float = _key("train", 1e-3)
+    tied: bool = _key("train", True)
+    use_float32: bool = _key("train", False)
+    auto_scale: bool = _key("train", True)
+    sa_size: int = _key("accel", 16)
+    bus_bytes_per_cycle: int = _key("accel", 8)
+    clock_period_ns: float = _key("accel", 10.0)
+    tile_m: int = _key("accel", 0)
+    tile_k: int = _key("accel", 64)
+    tile_n: int = _key("accel", 0)
+    bits: int = _key("accel", 8)
+    seed: int = _key("run", 0)
+    out_dir: str = _key("run", "")
+    checkpoint: str = _key("run", "")
+    schemes: tuple[str, ...] = _key(
+        "run", ("mrt_local", "zf_local", "mmse_local", "zf_global",
+                "mmse_global"))
+    eval_size: int = _key("run", 500)
+    quant_size: int = _key("run", 500)
+    latency_m_list: tuple[int, ...] = _key("run", (1, 2, 4, 8))
 
     def __post_init__(self):
         for name in ("k_sats", "m_users", "n_antennas"):
@@ -229,11 +178,15 @@ class ExperimentConfig:
                               f"got {len(self.phi_deg)}")
         if self.scale_factor < 1:
             raise ConfigError("gnn.scale_factor must be >= 1")
-        if self.bits not in (8, 16):
-            raise ConfigError(f"accel.bits must be 8 or 16, got {self.bits}")
         for name in ("eval_size", "quant_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"run.{name} must be >= 1")
+        # the domain classes hold the remaining range checks
+        try:
+            self.train_config()
+            self.accel_config()
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"value out of range: {exc}") from exc
 
     # --- linear-unit views -------------------------------------------------
 
@@ -275,55 +228,30 @@ class ExperimentConfig:
             full_scatter_phase=self.full_scatter_phase,
         )
 
-    def system_params(self, k_sats=None, n_antennas=None, power=None,
-                      input_scale=1.0) -> train.SystemParams:
+    def system_params(self, input_scale=1.0) -> train.SystemParams:
         wt = self.weight_tuple
         uniform = all(w == wt[0] for w in wt)
-        return train.SystemParams(
-            k_sats=self.k_sats if k_sats is None else k_sats,
-            m_users=self.m_users,
-            n_antennas=self.n_antennas if n_antennas is None else n_antennas,
-            power=self.power if power is None else power,
-            sigma2=self.sigma2,
-            bandwidth=self.bandwidth_hz,
+        return self._shared(
+            train.SystemParams, bandwidth=self.bandwidth_hz,
             weights=None if uniform and wt[0] == 1.0 else np.asarray(wt),
-            input_scale=input_scale,
-        )
+            input_scale=input_scale)
+
+    def _shared(self, cls, **given):
+        """cls(**given), its other fields read from the same-named
+        settings and linear-unit views."""
+        return cls(**given, **{f.name: getattr(self, f.name)
+                               for f in dataclasses.fields(cls)
+                               if f.name not in given})
 
     def train_config(self) -> train.TrainConfig:
-        return train.TrainConfig(
-            system=self.system_params(),
-            chan=self.channel_params(),
-            scale_factor=self.scale_factor,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            samples_per_epoch=self.samples_per_epoch,
-            test_size=self.test_size,
-            lr0=self.lr0,
-            lr_decay=self.lr_decay,
-            lr_decay_every=self.lr_decay_every,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-            early_stop=self.early_stop,
-            patience=self.patience,
-            min_rel_improve=self.min_rel_improve,
-            tied=self.tied,
-            use_float32=self.use_float32,
-            auto_scale=self.auto_scale,
-            seed=self.seed,
-        )
+        return self._shared(train.TrainConfig, system=self.system_params(),
+                            chan=self.channel_params())
 
     def accel_config(self, bits=None) -> accel.AcceleratorConfig:
-        return accel.AcceleratorConfig(
-            sa_size=self.sa_size,
-            bus_bytes_per_cycle=self.bus_bytes_per_cycle,
-            clock_period_ns=self.clock_period_ns,
-            tile_m=self.tile_m or None,
-            tile_k=self.tile_k,
-            tile_n=self.tile_n or None,
-            bits=self.bits if bits is None else bits,
-        )
+        return self._shared(accel.AcceleratorConfig,
+                            tile_m=self.tile_m or None,
+                            tile_n=self.tile_n or None,
+                            bits=self.bits if bits is None else bits)
 
     def config_hash(self) -> str:
         payload = json.dumps(dataclasses.asdict(self), sort_keys=True,
@@ -331,11 +259,17 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+# (section, key) -> field, for every setting
+_KEYS = {(f.metadata["section"], f.metadata["key"] or f.name): f
+         for f in dataclasses.fields(ExperimentConfig)}
+_SECTIONS = {sect for sect, _ in _KEYS}
+
+
 def load_config(path=None, overrides=None) -> ExperimentConfig:
     """Read an INI file into an ExperimentConfig.
 
     Unknown sections or keys raise ConfigError naming the offender.  Absent
-    keys fall back to defaults (logged at INFO level).  ``overrides`` is an
+    keys fall back to defaults (logged at DEBUG level).  ``overrides`` is an
     optional {(section, key): string} mapping applied on top, used by the CLI
     for flags like --seed.
     """
@@ -350,34 +284,29 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
     raw = {sect: dict(parser.items(sect)) for sect in parser.sections()}
     for sect, items in raw.items():
-        if sect not in SCHEMA:
+        if sect not in _SECTIONS:
             raise ConfigError(f"unknown config section [{sect}]")
         for key in items:
-            if key not in SCHEMA[sect]:
+            if (sect, key) not in _KEYS:
                 raise ConfigError(f"unknown key {key!r} in section [{sect}]")
     if overrides:
         for (sect, key), value in overrides.items():
             raw.setdefault(sect, {})[key] = value
 
-    renames = {("fading", "b"): "fading_b", ("fading", "m"): "fading_m",
-               ("fading", "omega"): "fading_omega"}
     resolved = {}
-    for sect, keys in SCHEMA.items():
-        have = raw.get(sect, {})
-        for key, (default, caster) in keys.items():
-            field = renames.get((sect, key), key)
-            text = have.get(key)
-            if text is None:
-                text = default
-                if path is not None:
-                    logger.debug("config: [%s] %s missing, using default %r",
-                                sect, key, default)
-            try:
-                resolved[field] = caster(text)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(
-                    f"bad value for [{sect}] {key} = {text!r}: {exc}"
-                ) from exc
+    for (sect, key), field in _KEYS.items():
+        text = raw.get(sect, {}).get(key)
+        if text is None:
+            if path is not None:
+                logger.debug("config: [%s] %s missing, using default %r",
+                             sect, key, field.default)
+            continue
+        try:
+            resolved[field.name] = _CASTERS[field.type](text)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(
+                f"bad value for [{sect}] {key} = {text!r}: {exc}"
+            ) from exc
     return ExperimentConfig(**resolved)
 
 
@@ -795,13 +724,9 @@ def run_train(config: ExperimentConfig, out_dir: str, progress=None,
     name = "model.ckpt"
     if pooled:
         sys = cfg.system
-        pooled_sys = train.SystemParams(
-            k_sats=1, m_users=sys.m_users,
-            n_antennas=sys.k_sats * sys.n_antennas,
-            power=sys.k_sats * sys.power, sigma2=sys.sigma2,
-            bandwidth=sys.bandwidth, weights=sys.weights,
-            input_scale=sys.input_scale)
-        cfg = dataclasses.replace(cfg, system=pooled_sys)
+        cfg = dataclasses.replace(cfg, system=dataclasses.replace(
+            sys, k_sats=1, n_antennas=sys.k_sats * sys.n_antennas,
+            power=sys.k_sats * sys.power))
         name = "model_pooled.ckpt"
     result = train.train(cfg, progress=progress)
     ckpt_path = os.path.join(out_dir, name)

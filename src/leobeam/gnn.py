@@ -559,13 +559,3 @@ def read_params(fh) -> GnnParams:
         b = np.frombuffer(read_exact(fh, 8 * spec.fan_out), dtype=np.float64)
         layers.append(FcLayer(w=w.copy(), b=b.copy()))
     return GnnParams(dims=dims, layers=layers)
-
-
-def save_params(path, params: GnnParams) -> None:
-    with open(path, "wb") as fh:
-        write_params(fh, params)
-
-
-def load_params(path) -> GnnParams:
-    with open(path, "rb") as fh:
-        return read_params(fh)

@@ -113,14 +113,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.epochs, self.test_size, self.batch_size,
+               self.samples_per_epoch, self.lr_decay_every) < 1:
+            raise ValueError("epochs, test_size, batch_size, "
+                             "samples_per_epoch and lr_decay_every must be "
+                             ">= 1")
         if self.samples_per_epoch % self.batch_size != 0:
             raise ValueError("batch_size must divide samples_per_epoch")
         if self.lr0 <= 0:
             raise ValueError("lr0 must be positive")
         if not 0 < self.lr_decay <= 1:
             raise ValueError("lr_decay must be in (0, 1]")
-        if self.epochs < 1 or self.test_size < 1:
-            raise ValueError("epochs and test_size must be >= 1")
 
 
 def suggested_input_scale(chan: channel.ChannelParams, m_users: int) -> float:
@@ -271,20 +274,13 @@ def _zero_grads(params: GnnParams) -> GradientSet:
 
 
 def _as_batch(batch) -> np.ndarray:
-    """Accepts an ndarray (B,K,M,N), a ChannelRealization, or a list."""
-    if isinstance(batch, np.ndarray):
-        if batch.ndim == 3:
-            return batch[None]
-        if batch.ndim != 4:
-            raise ValueError("channel batch must have shape (B, K, M, N)")
-        return batch
-    if isinstance(batch, channel.ChannelRealization):
-        return batch.h[None]
-    arrs = [b.h if isinstance(b, channel.ChannelRealization) else np.asarray(b)
-            for b in batch]
-    if not arrs:
-        raise ValueError("empty channel batch")
-    return np.stack(arrs, axis=0)
+    """A channel batch (B, K, M, N); one realization (K, M, N) gets B = 1."""
+    batch = np.asarray(batch)
+    if batch.ndim == 3:
+        return batch[None]
+    if batch.ndim != 4:
+        raise ValueError("channel batch must have shape (B, K, M, N)")
+    return batch
 
 
 def _params_list(params) -> list:
@@ -368,8 +364,7 @@ def gradients(params, batch, sys: SystemParams,
 
 def infer_beamformers(params, realization, sys: SystemParams) -> BeamformerSet:
     """Run the trained network on one channel realization."""
-    h = (realization.h if isinstance(realization, channel.ChannelRealization)
-         else np.asarray(realization))
+    h = np.asarray(realization)
     if h.ndim != 3:
         raise ValueError("expected a single (K, M, N) channel realization")
     _, w, _ = _forward_beams(params, h[None], sys, keep=False)

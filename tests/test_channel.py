@@ -150,19 +150,21 @@ def _params(phi=(0.01, 0.01, 0.01, 0.01)):
         phi_3db=math.radians(0.4), fading=FADING)
 
 
+def _draw(seed, count=1, k=2, m=4, n=4):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return channel.sample_channel_batch(_params(), count, k, m, n, rng)
+
+
 class TestChannelTensor:
     def test_shapes_and_dtype(self):
-        real = channel.generate_channel(_params(), 2, 4, 4, seed=3)
-        assert real.h.shape == (2, 4, 4)
-        assert real.h.dtype == np.complex128
-        assert real.seed == 3
+        h = _draw(3, count=5, n=3)
+        assert h.shape == (5, 2, 4, 3)
+        assert h.dtype == np.complex128
 
     def test_seed_determinism(self):
-        a = channel.generate_channel(_params(), 2, 4, 4, seed=42)
-        b = channel.generate_channel(_params(), 2, 4, 4, seed=42)
-        np.testing.assert_array_equal(a.h, b.h)
-        c = channel.generate_channel(_params(), 2, 4, 4, seed=43)
-        assert not np.array_equal(a.h, c.h)
+        a = _draw(42, count=3)
+        np.testing.assert_array_equal(a, _draw(42, count=3))
+        assert not np.array_equal(a, _draw(43, count=3))
 
     def test_entry_mean_power(self):
         # |h|^2 mean per entry is C_L^2 b(phi) (2b + Omega)
@@ -183,10 +185,6 @@ class TestChannelTensor:
         assert np.argmax(amps) == 0
         cl = channel.path_loss_coeff(p.d0, p.dh, p.carrier_freq)
         assert amps[0] == pytest.approx(cl * math.sqrt(p.b_max), rel=1e-12)
-
-    def test_underdetermined_warns(self):
-        with pytest.warns(UserWarning):
-            channel.generate_channel(_params(), 1, 4, 2, seed=1)
 
     def test_scalar_phi_broadcasts(self):
         p = channel.ChannelParams(

@@ -1,5 +1,7 @@
 """Config parsing, experiment runners, artifact formats, CLI exit codes."""
 
+import configparser
+import hashlib
 import os
 import re
 
@@ -12,8 +14,9 @@ from leobeam.experiments import (ALL_SCHEMES, GLOBAL_SCHEMES, ConfigError,
                                  MissingArtifactError, budget_for_policy,
                                  canonical_scheme, compute_beams,
                                  dbi_to_linear, dbm_to_watts, dbw_to_watts,
-                                 deg_to_rad, load_config, resolve_out_dir,
-                                 watts_to_dbm, watts_to_dbw)
+                                 deg_to_rad, load_config, resolve_out_dir)
+
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 
 MICRO_INI = """\
 [system]
@@ -61,11 +64,6 @@ class TestConversions:
         assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
         assert dbi_to_linear(52.0) == pytest.approx(10 ** 5.2, rel=1e-15)
         assert deg_to_rad(180.0) == pytest.approx(np.pi, rel=1e-15)
-
-    def test_roundtrips(self):
-        for x in (1e-13, 1.0, 3.7, 250.0):
-            assert dbw_to_watts(watts_to_dbw(x)) == pytest.approx(x, rel=1e-12)
-            assert dbm_to_watts(watts_to_dbm(x)) == pytest.approx(x, rel=1e-12)
 
 
 class TestConfigLoading:
@@ -117,6 +115,17 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="weights"):
             load_config(str(p))
 
+    @pytest.mark.parametrize("sect,key,text", [
+        ("system", "p_dbw", "nan"), ("system", "sigma2_dbm", "inf"),
+        ("system", "bandwidth_hz", "-inf"), ("system", "weights", "1,nan"),
+        ("train", "lr0", "NaN")])
+    def test_non_finite_rejected(self, tmp_path, sect, key, text):
+        p = tmp_path / "c.ini"
+        p.write_text(f"[{sect}]\n{key} = {text}\n")
+        with pytest.raises(ConfigError, match=rf"bad value for \[{sect}\] "
+                           rf"{key} = '{text}': not a finite number"):
+            load_config(str(p))
+
     def test_bits_checked(self, tmp_path):
         p = tmp_path / "c.ini"
         p.write_text("[accel]\nbits = 12\n")
@@ -144,6 +153,26 @@ class TestConfigLoading:
         assert other.config_hash() != load_config(str(p)).config_hash()
         assert re.fullmatch(r"[0-9a-f]{16}",
                             load_config(str(p)).config_hash())
+
+    def test_config_hash_pinned(self):
+        # artifacts carry this hash; it covers the flat field names
+        desk = load_config(os.path.join(REPO, "configs", "desk.ini"))
+        default = load_config(os.path.join(REPO, "configs", "default.ini"))
+        assert desk.config_hash() == "f6d05bccf07fcf06"
+        assert default.config_hash() == "f0c76b9e7b740f91"
+        assert load_config(None).config_hash() == "f0c76b9e7b740f91"
+        # the test cache key of the desk training
+        key = hashlib.sha256(repr(desk.train_config()).encode()).hexdigest()
+        assert key[:16] == "70c0dec02a37261a"
+
+    def test_reference_file_lists_every_key(self):
+        path = os.path.join(REPO, "configs", "default.ini")
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(path)
+        listed = [(sect, key) for sect in parser.sections()
+                  for key in parser[sect]]
+        assert sorted(listed) == sorted(experiments._KEYS)
+        assert load_config(path) == load_config(None)
 
     def test_channel_params_factory(self):
         c = load_config(None)
@@ -419,15 +448,24 @@ class TestTrainRunner:
         assert "config_hash" in hist[0]
         assert len(hist) == 2 + 2
 
-    def test_pooled_stacks_antennas(self, tmp_path):
+    def test_pooled_stacks_antennas(self, tmp_path, monkeypatch):
         p = tmp_path / "c.ini"
         p.write_text(MICRO_INI.replace("k_sats = 1", "k_sats = 2")
                      .replace("epochs = 2", "epochs = 1"))
         config = load_config(str(p))
         out = tmp_path / "out"
         out.mkdir()
+        trained = []
+        real_train = train.train
+        monkeypatch.setattr(train, "train", lambda cfg, progress=None: (
+            trained.append(cfg.system) or real_train(cfg, progress)))
         result, ckpt_path = experiments.run_train(config, str(out),
                                                   pooled=True)
+        # one transmitter with every antenna and the total budget
+        sys = config.system_params()
+        assert trained == [train.SystemParams(
+            1, sys.m_users, 2 * sys.n_antennas, power=2 * sys.power,
+            sigma2=sys.sigma2, bandwidth=sys.bandwidth, weights=sys.weights)]
         assert ckpt_path.endswith("model_pooled.ckpt")
         ckpt = train.load_checkpoint(ckpt_path)
         assert ckpt.params.dims.n_antennas == 4  # K*N stacked
@@ -517,6 +555,29 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert cli.main(["--config", "/missing.ini", "eval"]) == 2
+
+    @pytest.mark.parametrize("command,text", [
+        ("latency", "[accel]\nsa_size = 0\n"),
+        ("train", "[train]\nbatch_size = 7\n"),
+        ("eval", "[fading]\nm = 0.1\n"),
+        ("eval", "[system]\nphi_3db_deg = 100\n"),
+        ("eval", "[system]\np_dbw = nan\n"),
+        ("eval", "[system]\nsigma2_dbm = inf\n"),
+        # a zero divisor, and a power that overflows a float
+        ("train", "[train]\nbatch_size = 0\n"),
+        ("train", "[train]\nlr_decay_every = 0\n"),
+        ("eval", "[system]\np_dbw = 4000\n"),
+    ])
+    def test_out_of_range_is_2(self, tmp_path, capsys, command, text):
+        p = tmp_path / "bad.ini"
+        p.write_text(text)
+        out = tmp_path / "out"
+        rc = cli.main(["--config", str(p), "--out", str(out), command])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_unknown_scheme_is_2(self, micro):
         rc = cli.main(["--config", micro["cfg_path"], "--out", micro["out"],

@@ -230,8 +230,10 @@ class TestContainer:
     def test_file_roundtrip(self, tmp_path):
         params = make_params(22)
         path = tmp_path / "net.bin"
-        gnn.save_params(path, params)
-        back = gnn.load_params(path)
+        with open(path, "wb") as fh:
+            gnn.write_params(fh, params)
+        with open(path, "rb") as fh:
+            back = gnn.read_params(fh)
         np.testing.assert_array_equal(back.layers[5].w, params.layers[5].w)
 
     def test_rejects_bad_magic(self):
@@ -240,17 +242,22 @@ class TestContainer:
 
     def test_truncated_or_oversized_rejected(self, tmp_path):
         path = tmp_path / "f.bin"
-        gnn.save_params(path, make_params(42, gnn.scaled_dims(3, 16)))
+        with open(path, "wb") as fh:
+            gnn.write_params(fh, make_params(42, gnn.scaled_dims(3, 16)))
         data = path.read_bytes()
+
+        def read_back(content):
+            path.write_bytes(content)
+            with open(path, "rb") as fh:
+                gnn.read_params(fh)
+
         for cut in (4, 20, 70, len(data) // 2, len(data) - 1):
-            path.write_bytes(data[:cut])
             with pytest.raises(gnn.ArtifactError):
-                gnn.load_params(path)
+                read_back(data[:cut])
         # l1 claims 2**31 neurons: rejected before any read that large
-        path.write_bytes(data[:16] + (2 ** 31).to_bytes(4, "little")
-                         + data[20:])
         with pytest.raises(gnn.ArtifactError, match="truncated"):
-            gnn.load_params(path)
+            read_back(data[:16] + (2 ** 31).to_bytes(4, "little")
+                      + data[20:])
 
     def test_rejects_quantized_tags(self):
         buf = io.BytesIO()

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leobeam import beamform, channel, gnn, train
 
@@ -340,6 +341,33 @@ class TestInference:
                                             algorithm="pairwise")
                 err = np.linalg.norm(w[b, ki] - ref) / np.linalg.norm(ref)
                 assert err <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(k=st.integers(1, 3), m=st.integers(1, 4), n=st.integers(1, 3),
+           count=st.integers(1, 4), tied=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_infer_batch_user_permutation_equivariant(self, k, m, n, count,
+                                                      tied, seed):
+        # Each sample gets its own user permutation, applied on every
+        # satellite.  The neighbor max does not see node order, but the
+        # power normalization sums in the permuted order, so the beams
+        # agree to rounding (1e-12 of the largest entry), not bit for bit.
+        gen = np.random.Generator(np.random.Philox(seed))
+        dims = gnn.scaled_dims(n, 32)
+        params = [gnn.init_params(dims, gen) for _ in range(1 if tied else k)]
+        for p in params:   # nonzero biases keep the ReLUs mixed
+            for lay in p.layers:
+                lay.b[:] = gen.normal(scale=0.1, size=lay.b.shape)
+        net = params[0] if tied else params
+        sysp = train.SystemParams(k, m, n, power=2.0, sigma2=1.0)
+        h = tiny_batch(gen, count=count, k=k, m=m, n=n)
+        perm = np.stack([gen.permutation(m) for _ in range(count)])
+        idx = perm[:, None, :, None]
+        w = train.infer_batch(net, h, sysp)
+        got = train.infer_batch(net, np.take_along_axis(h, idx, axis=2), sysp)
+        want = np.take_along_axis(w, idx, axis=2)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_single_realization_beamformer_set(self):
         params = make_params(18)
