@@ -79,8 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_list(text, caster):
-    return tuple(caster(tok) for tok in text.split(",") if tok.strip())
+def _parse_list(text, kind: str, flag: str):
+    """A comma list flag read with the config's casters (ConfigError, so
+    exit 2, on a bad entry); None when the flag is absent."""
+    if text is None:
+        return None
+    return experiments.parse_setting(text, f"tuple[{kind}, ...]", flag)
 
 
 def main(argv=None) -> int:
@@ -106,7 +110,7 @@ def main(argv=None) -> int:
                   f"{result.best_epoch}")
             print(f"checkpoint: {path}")
         elif args.command == "eval":
-            schemes = _parse_list(args.schemes, str) if args.schemes else None
+            schemes = _parse_list(args.schemes, "str", "--schemes")
             summary = experiments.run_eval(config, out_dir, schemes=schemes,
                                            size=args.size)
             for scheme, (mean, std) in summary.items():
@@ -114,10 +118,8 @@ def main(argv=None) -> int:
                       f"std {std:.3e}")
             print(f"artifacts: {out_dir}/eval.csv, eval_summary.csv")
         elif args.command == "sweep":
-            values = _parse_list(args.values, float)
-            if args.variable == "k_sats":
-                values = tuple(int(v) for v in values)
-            schemes = _parse_list(args.schemes, str) if args.schemes else None
+            values = _parse_list(args.values, "float", "--values")
+            schemes = _parse_list(args.schemes, "str", "--schemes")
             experiments.run_sweep(config, out_dir, args.variable, values,
                                   policy=args.policy, schemes=schemes,
                                   size=args.size)
@@ -132,8 +134,8 @@ def main(argv=None) -> int:
                   f"(ratio {summary['ratio16']:.4f})")
             print(f"artifacts: {out_dir}/quant.csv, quant_summary.csv")
         elif args.command == "latency":
-            m_list = _parse_list(args.m_list, int) if args.m_list else None
-            bits = _parse_list(args.bits, int) if args.bits else (8, 16)
+            m_list = _parse_list(args.m_list, "int", "--m-list")
+            bits = _parse_list(args.bits, "int", "--bits") or (8, 16)
             totals = experiments.run_latency(config, out_dir, m_list=m_list,
                                              bits_list=bits)
             for (b, m), ms in sorted(totals.items()):

@@ -95,11 +95,34 @@ _CASTERS = {
 }
 
 
+def parse_setting(text: str, annotation: str, where: str):
+    """text read as a setting of the annotated type, or ConfigError naming
+    where it came from (an INI key or a command-line flag)."""
+    try:
+        return _CASTERS[annotation](text)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad value for {where} = {text!r}: {exc}") from exc
+
+
 def _key(section: str, default, key: str | None = None):
     """A setting read from ``[section] key`` (key defaults to the field
     name), with its built-in default."""
     return dataclasses.field(default=default,
                              metadata={"section": section, "key": key})
+
+
+def _check_user_counts(m_values, what: str) -> None:
+    if not m_values or min(m_values) < 1:
+        raise ConfigError(f"{what} must list user counts >= 1, "
+                          f"got {tuple(m_values)}")
+
+
+def _sample_count(size, default: int) -> int:
+    """Samples per ensemble: `size` when given, else the configured one."""
+    count = default if size is None else size
+    if count < 1:
+        raise ConfigError(f"size must be >= 1, got {count}")
+    return count
 
 
 # stream labels for per-artifact RNG substreams
@@ -181,6 +204,7 @@ class ExperimentConfig:
         for name in ("eval_size", "quant_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"run.{name} must be >= 1")
+        _check_user_counts(self.latency_m_list, "run.latency_m_list")
         # the domain classes hold the remaining range checks
         try:
             self.train_config()
@@ -301,12 +325,8 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
                 logger.debug("config: [%s] %s missing, using default %r",
                              sect, key, field.default)
             continue
-        try:
-            resolved[field.name] = _CASTERS[field.type](text)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(
-                f"bad value for [{sect}] {key} = {text!r}: {exc}"
-            ) from exc
+        resolved[field.name] = parse_setting(text, field.type,
+                                             f"[{sect}] {key}")
     return ExperimentConfig(**resolved)
 
 
@@ -362,11 +382,16 @@ def load_gnn_context(path: str) -> GnnContext:
     return GnnContext(params=ckpt.params, input_scale=ckpt.input_scale)
 
 
-def compute_beams(scheme: str, h, per_sat_power: float, total_power: float,
+def compute_beams(scheme: str, h, per_sat_power, total_power,
                   sigma2: float, gnn_ctx: GnnContext | None = None,
                   gnn_ctx_global: GnnContext | None = None):
     """Return a BeamformerSet for a realization (K, M, N) or a stack of
-    them (..., K, M, N); the beams have the channel's shape."""
+    them (..., K, M, N); the beams have the channel's shape.
+
+    The budgets may be 1-D vectors of P budgets each: the beams then gain a
+    leading budget axis, (P, ..., K, M, N).  The classical schemes do their
+    budget-independent work once; the networks run once per budget.
+    """
     if scheme == "mrt_local":
         return beamform.mrt_local(h, per_sat_power)
     if scheme == "zf_local":
@@ -379,6 +404,13 @@ def compute_beams(scheme: str, h, per_sat_power: float, total_power: float,
         return beamform.mmse_global(h, total_power, sigma2)
     if scheme not in ("gnn_local", "gnn_global"):
         raise ConfigError(f"unknown scheme {scheme!r}")
+    if beamform._is_vector(per_sat_power) or beamform._is_vector(total_power):
+        per, tot = np.broadcast_arrays(per_sat_power, total_power)
+        sets = [compute_beams(scheme, h, p, t, sigma2, gnn_ctx,
+                              gnn_ctx_global) for p, t in zip(per, tot)]
+        return beamform.BeamformerSet(
+            w=np.stack([s.w for s in sets]), scope=sets[0].scope,
+            power_budget=per if scheme == "gnn_local" else tot)
     h = np.asarray(h)
     k, m, n = h.shape[-3:]
     if scheme == "gnn_local":
@@ -438,7 +470,7 @@ def _artifact_header(kind: str, config: ExperimentConfig, extra: str = ""):
 
 
 def _write_rows(path, header_comment, columns, rows):
-    with open(path, "w") as fh:
+    with gnn.atomic_write(path) as fh:
         fh.write(header_comment)
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -467,14 +499,16 @@ def _sample_batch(config: ExperimentConfig, count: int, stream: int,
 def _rates_for_schemes(h_batch, schemes, per_sat_power, total_power, config,
                        gnn_ctx=None, gnn_ctx_global=None):
     """Evaluate schemes on a batch; returns {scheme: RateReport} whose
-    arrays run over the batch."""
+    arrays run over the batch, after a leading budget axis when the budgets
+    are vectors."""
     wt = np.asarray(config.weight_tuple)
     out = {}
     for scheme in schemes:
         beams = compute_beams(scheme, h_batch, per_sat_power, total_power,
                               config.sigma2, gnn_ctx=gnn_ctx,
                               gnn_ctx_global=gnn_ctx_global)
-        out[scheme] = beamform.wsr(h_batch, beams.w, config.sigma2,
+        out[scheme] = beamform.wsr(np.broadcast_to(h_batch, beams.w.shape),
+                                   beams.w, config.sigma2,
                                    bandwidth=config.bandwidth_hz, weights=wt)
     return out
 
@@ -488,7 +522,7 @@ def run_eval(config: ExperimentConfig, out_dir: str,
     as {scheme: (mean, std)}.
     """
     names = [canonical_scheme(s) for s in (schemes or config.schemes)]
-    count = size or config.eval_size
+    count = _sample_count(size, config.eval_size)
     h_batch = _sample_batch(config, count, _STREAM_EVAL)
     ctx = ctx_global = None
     if "gnn_local" in names:
@@ -532,14 +566,29 @@ def run_eval(config: ExperimentConfig, out_dir: str,
     return summary
 
 
+def _sweep_power(p_dbw: float) -> float:
+    """Per-satellite budget in watts of one p_dbw sweep value, which must
+    give a finite positive power."""
+    try:
+        watts = dbw_to_watts(p_dbw)
+    except OverflowError:
+        watts = math.inf
+    if not 0.0 < watts < math.inf:
+        raise ConfigError(f"p_dbw sweep value {p_dbw!r} gives a budget of "
+                          f"{watts!r} W; it must be finite and > 0")
+    return watts
+
+
 def run_sweep(config: ExperimentConfig, out_dir: str, variable: str,
               values, policy: str = "fixed", schemes=None, size=None):
     """Sweep transmit power (p_dbw) or satellite count (k_sats).
 
     Writes sweep.csv with one summary row per (value, scheme) and sweep.svg
-    with one line per scheme.  Power sweeps reuse a single channel ensemble
-    (the channel does not depend on the budget); satellite-count sweeps draw
-    a fresh seeded ensemble per K.  Returns {scheme: [(value, mean_wsr)]}.
+    with one line per scheme.  Every value is checked before any work.
+    Power sweeps reuse a single channel ensemble (the channel does not
+    depend on the budget) and evaluate all budgets at once, as a leading
+    budget axis; satellite-count sweeps draw a fresh seeded ensemble per K.
+    Returns {scheme: [(value, mean_wsr)]}.
     """
     if variable not in ("p_dbw", "k_sats"):
         raise ConfigError(f"unknown sweep variable {variable!r}; "
@@ -559,7 +608,19 @@ def run_sweep(config: ExperimentConfig, out_dir: str, variable: str,
     if variable == "k_sats" and "gnn_global" in names:
         raise ConfigError("gnn_global cannot be swept over k_sats: its "
                           "pooled checkpoint serves one satellite count")
-    count = size or config.eval_size
+    count = _sample_count(size, config.eval_size)
+    if variable == "p_dbw":
+        points = [float(v) for v in values]
+        budgets = budget_for_policy(
+            policy, np.array([_sweep_power(v) for v in points]),
+            config.k_sats)
+    else:
+        points = [int(v) for v in values]
+        if min(points) < 1:
+            raise ConfigError(f"k_sats sweep value must be >= 1, "
+                              f"got {min(points)}")
+        budgets = [budget_for_policy(policy, config.power, k)
+                   for k in points]
 
     ctx = ctx_global = None
     if "gnn_local" in names:
@@ -569,29 +630,27 @@ def run_sweep(config: ExperimentConfig, out_dir: str, variable: str,
         ctx_global = load_gnn_context(
             os.path.join(out_dir, "model_pooled.ckpt"))
 
-    def points():
-        """(value, channel ensemble, per-satellite and total budgets)."""
-        if variable == "p_dbw":
-            h_batch = _sample_batch(config, count, _STREAM_SWEEP)
-            for value in values:
-                yield (float(value), h_batch, *budget_for_policy(
-                    policy, dbw_to_watts(float(value)), config.k_sats))
-            return
-        for ki, value in enumerate(values):
-            k = int(value)
-            if k < 1:
-                raise ConfigError(f"k_sats sweep value must be >= 1, got {k}")
-            yield (float(k), _sample_batch(config, count, _STREAM_SWEEP,
-                                           k_sats=k, extra_key=ki),
-                   *budget_for_policy(policy, config.power, k))
+    def evaluate(h_batch, per_sat, total):
+        rates = _rates_for_schemes(h_batch, names, per_sat, total, config,
+                                   gnn_ctx=ctx, gnn_ctx_global=ctx_global)
+        return {s: rep.weighted_sum for s, rep in rates.items()}
+
+    if variable == "p_dbw":
+        stacked = evaluate(_sample_batch(config, count, _STREAM_SWEEP),
+                           *budgets)
+        per_point = [{s: wsr[i] for s, wsr in stacked.items()}
+                     for i in range(len(points))]
+    else:
+        per_point = [evaluate(_sample_batch(config, count, _STREAM_SWEEP,
+                                            k_sats=k, extra_key=ki),
+                              *budgets[ki])
+                     for ki, k in enumerate(points)]
 
     results = {s: [] for s in names}
     rows = []
-    for value, h_batch, per_sat, total in points():
-        rates = _rates_for_schemes(h_batch, names, per_sat, total, config,
-                                   gnn_ctx=ctx, gnn_ctx_global=ctx_global)
+    for value, wsr in zip(map(float, points), per_point):
         for scheme in names:
-            vals = rates[scheme].weighted_sum
+            vals = wsr[scheme]
             results[scheme].append((value, float(vals.mean())))
             rows.append([variable, value, policy, scheme, len(vals),
                          float(vals.mean()), float(vals.std())])
@@ -606,7 +665,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str, variable: str,
               for s in names]
     svg = svgplot.line_plot(series, title=f"WSR vs {variable} ({policy})",
                             xlabel=variable, ylabel="mean WSR (b/s)")
-    with open(os.path.join(out_dir, "sweep.svg"), "w") as fh:
+    with gnn.atomic_write(os.path.join(out_dir, "sweep.svg")) as fh:
         fh.write(svg)
     return results
 
@@ -618,9 +677,9 @@ def run_quant_compare(config: ExperimentConfig, out_dir: str, size=None):
     and quant_summary.csv.  Returns {"float": mean, "int8": mean, "int16":
     mean, "ratio8": ..., "ratio16": ...}.
     """
+    count = _sample_count(size, config.quant_size)
     ckpt_path = config.checkpoint or os.path.join(out_dir, "model.ckpt")
     ctx = load_gnn_context(ckpt_path)
-    count = size or config.quant_size
     h_batch = _sample_batch(config, count, _STREAM_QUANT)
     n = config.n_antennas
     if ctx.n_antennas != n:
@@ -680,13 +739,17 @@ def run_latency(config: ExperimentConfig, out_dir: str, m_list=None,
     Writes latency.csv (totals) and latency_layers.csv (per-layer detail).
     Returns {(bits, m): total_ms}.
     """
-    m_values = tuple(m_list or config.latency_m_list)
+    m_values = config.latency_m_list if m_list is None else tuple(m_list)
+    _check_user_counts(m_values, "latency user counts")
+    try:
+        cfgs = [config.accel_config(bits=bits) for bits in bits_list]
+    except ValueError as exc:
+        raise ConfigError(f"value out of range: {exc}") from exc
     dims = gnn.scaled_dims(config.n_antennas, config.scale_factor,
                            wide_output=config.wide_output)
     totals = {}
     rows, lrows = [], []
-    for bits in bits_list:
-        cfg = config.accel_config(bits=bits)
+    for bits, cfg in zip(bits_list, cfgs):
         lo, hi = REFERENCE_RANGE_MS.get(bits, (float("nan"), float("nan")))
         for m in m_values:
             report = accel.latency_model(dims, m, cfg)

@@ -17,6 +17,7 @@ MLP1 once per ordered neighbor pair, is kept only as a reference.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import struct
@@ -486,6 +487,29 @@ def mac_count(m_users: int, n_antennas: int, dims: GnnDims) -> MacCounts:
         measured_pairwise=measured["pairwise"],
         measured_hoisted=measured["refactored"],
     )
+
+
+# --- artifact writes ----------------------------------------------------------
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file beside `path` for writing.
+
+    When the block ends without an exception, one `os.replace` puts the
+    file at `path`, so a reader finds the old file or the whole new one,
+    never a part.  When it raises, the temporary file is removed and `path`
+    is left as it was.  (No fsync: this guards against failures and killed
+    processes, not against power loss.)
+    """
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # --- parameter container ------------------------------------------------------

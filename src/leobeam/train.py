@@ -38,9 +38,9 @@ import numpy as np
 
 from . import channel
 from .beamform import BeamformerSet, rate_terms
-from .gnn import (ArtifactError, FcLayer, GnnParams, ZERO_POWER, init_params,
-                  read_exact, read_params, scaled_dims, write_params,
-                  _forward_group, _power_scale)
+from .gnn import (ArtifactError, FcLayer, GnnParams, ZERO_POWER, atomic_write,
+                  init_params, read_exact, read_params, scaled_dims,
+                  write_params, _forward_group, _power_scale)
 
 logger = logging.getLogger(__name__)
 
@@ -539,7 +539,7 @@ def train(cfg: TrainConfig,
 
 def save_checkpoint(path, params, input_scale: float = 1.0) -> None:
     params_list = _params_list(params)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", len(params_list)))
         for p in params_list:
@@ -581,5 +581,5 @@ def write_history_csv(path, history, config_hash: str = "") -> None:
     for e in history:
         lines.append(f"{e.epoch},{repr(e.lr)},{repr(e.train_wsr)},"
                      f"{repr(e.test_wsr)}")
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -62,12 +62,13 @@ def desk_training() -> DeskTraining:
     os.makedirs(CACHE_DIR, exist_ok=True)
     train.save_checkpoint(ckpt_path, result.params,
                           input_scale=result.input_scale)
-    json.dump({"history": [list(st) for st in result.history],
-               "best_epoch": result.best_epoch,
-               "best_test_wsr": result.best_test_wsr,
-               "stopped_early": result.stopped_early,
-               "seconds": seconds},
-              open(meta_path, "w"))
+    # each file is replaced whole: an interrupted run leaves no truncated one
+    with gnn.atomic_write(meta_path) as fh:
+        json.dump({"history": [list(st) for st in result.history],
+                   "best_epoch": result.best_epoch,
+                   "best_test_wsr": result.best_test_wsr,
+                   "stopped_early": result.stopped_early,
+                   "seconds": seconds}, fh)
     return DeskTraining(result, seconds)
 
 

@@ -189,17 +189,21 @@ class TestZf:
         rng = np.random.default_rng(65)
         h = rand_channel(rng, k=3 * 2, m=2, n=2).reshape(3, 2, 2, 2)
         h[1, 0, 1] = 2.0 * h[1, 0, 0]  # one satellite of sample 1
-        with pytest.raises(beamform.SingularChannelError,
-                           match="at sample 1, satellite 0:"):
-            beamform.zf_local(h, 1.0)
-        beamform.zf_global(h, 1.0)  # the stacked system keeps full rank
+        # a scalar budget, and a budget vector (its own leading axis)
+        budgets = (1.0, np.array([0.5, 1.0, 2.0]))
+        for p in budgets:
+            with pytest.raises(beamform.SingularChannelError,
+                               match="at sample 1, satellite 0:"):
+                beamform.zf_local(h, p)
+            beamform.zf_global(h, p)  # the stacked system keeps full rank
         h[2, :, 1] = -1j * h[2, :, 0]  # both satellites of sample 2
-        with pytest.raises(beamform.SingularChannelError,
-                           match="at sample 2, stacked system:"):
-            beamform.zf_global(h, 1.0)
-        with pytest.raises(beamform.SingularChannelError,
-                           match="at satellite 0:"):
-            beamform.zf_local(h[2], 1.0)
+        for p in budgets:
+            with pytest.raises(beamform.SingularChannelError,
+                               match="at sample 2, stacked system:"):
+                beamform.zf_global(h, p)
+            with pytest.raises(beamform.SingularChannelError,
+                               match="at satellite 0:"):
+                beamform.zf_local(h[2], p)
 
     def test_trace_normalization_budget(self):
         rng = np.random.default_rng(64)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leobeam import accel, cli, experiments, gnn, svgplot, train
+from leobeam import accel, beamform, cli, experiments, gnn, svgplot, train
 from leobeam.experiments import (ALL_SCHEMES, GLOBAL_SCHEMES, ConfigError,
                                  MissingArtifactError, budget_for_policy,
                                  canonical_scheme, compute_beams,
@@ -17,6 +17,8 @@ from leobeam.experiments import (ALL_SCHEMES, GLOBAL_SCHEMES, ConfigError,
                                  deg_to_rad, load_config, resolve_out_dir)
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+CLASSICAL = ("mrt_local", "zf_local", "mmse_local", "zf_global",
+             "mmse_global")
 
 MICRO_INI = """\
 [system]
@@ -283,6 +285,116 @@ class TestComputeBeams:
                                        rtol=1e-12, err_msg=scheme)
 
 
+def assert_budget_axis_bytes(h, per_sat, total, sigma2, schemes, **ctx):
+    """One call over a budget vector gives, budget by budget, the beams and
+    the rates of scalar calls, byte for byte."""
+    weights = np.linspace(0.5, 1.5, h.shape[-2])
+    for scheme in schemes:
+        got = compute_beams(scheme, h, per_sat, total, sigma2, **ctx)
+        assert got.w.shape == (len(per_sat),) + h.shape, scheme
+        stacked = beamform.wsr(np.broadcast_to(h, got.w.shape), got.w,
+                               sigma2, bandwidth=3.0, weights=weights)
+        for i, (p, t) in enumerate(zip(per_sat, total)):
+            want = compute_beams(scheme, h, float(p), float(t), sigma2,
+                                 **ctx)
+            one = beamform.wsr(h, want.w, sigma2, bandwidth=3.0,
+                               weights=weights)
+            assert got.w[i].tobytes() == want.w.tobytes(), (scheme, i)
+            assert got.scope == want.scope
+            assert float(got.power_budget[i]) == want.power_budget
+            assert stacked.per_user_rates[i].tobytes() \
+                == one.per_user_rates.tobytes(), (scheme, i)
+            assert stacked.weighted_sum[i].tobytes() \
+                == one.weighted_sum.tobytes(), (scheme, i)
+
+
+class TestBudgetAxis:
+    @pytest.mark.parametrize("policy", ["fixed", "split", "pooled"])
+    def test_desk_ensemble_bytes_equal_per_budget(self, policy):
+        config = load_config(os.path.join(REPO, "configs", "desk.ini"))
+        h = experiments._sample_batch(config, 40, experiments._STREAM_SWEEP)
+        watts = np.array([dbw_to_watts(v) for v in (-10, -5, 0, 5, 10)])
+        per_sat, total = budget_for_policy(policy, watts, config.k_sats)
+        local, pooled = random_networks(config.k_sats, config.n_antennas)
+        assert_budget_axis_bytes(h, per_sat, total, config.sigma2,
+                                 ALL_SCHEMES, gnn_ctx=local,
+                                 gnn_ctx_global=pooled)
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(b=st.integers(1, 3), k=st.integers(1, 3), m=st.integers(1, 3),
+           extra=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1),
+           p_dbw=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=4),
+           sigma2=st.floats(1e-3, 10.0),
+           policy=st.sampled_from(("fixed", "split", "pooled")))
+    def test_random_shapes_bytes_equal_per_budget(self, b, k, m, extra,
+                                                  seed, p_dbw, sigma2,
+                                                  policy):
+        n = m + extra  # enough antennas for per-satellite zero forcing
+        rng = np.random.default_rng(seed)
+        h = random_stack(rng, b, k, m, n)
+        watts = np.array([dbw_to_watts(v) for v in p_dbw])
+        per_sat, total = budget_for_policy(policy, watts, k)
+        assert_budget_axis_bytes(h, per_sat, total, sigma2, CLASSICAL)
+        # the trace-normalized ZF and enforce_power take the axis as well
+        for got, one in (
+                (beamform.zf_local(h, per_sat, normalization="trace"),
+                 lambda p: beamform.zf_local(h, p, normalization="trace")),
+                (beamform.enforce_power(h, total, scope="total"),
+                 lambda p: beamform.enforce_power(h, p, scope="total")),
+                (beamform.enforce_power(h, per_sat),
+                 lambda p: beamform.enforce_power(h, p))):
+            for i, p in enumerate(got.power_budget):
+                assert got.w[i].tobytes() == one(float(p)).w.tobytes()
+
+    def test_scalar_budget_keeps_shape(self):
+        h = random_stack(np.random.default_rng(5), 3, 2, 2, 2)
+        for scheme in CLASSICAL:
+            beams = compute_beams(scheme, h, 2.0, 4.0, 0.1)
+            assert beams.w.shape == h.shape
+            assert beams.power_budget in (2.0, 4.0)
+
+    def test_dead_blocks_stay_zero_at_every_budget(self):
+        h = random_stack(np.random.default_rng(7), 2, 2, 3, 2)
+        # below ZERO_POWER: one user's channel, and a whole satellite block
+        h[1, 0, 2] = 1e-20
+        h[0, 1] = 1e-20
+        budgets = np.array([0.5, 2.0])
+        mrt = beamform.mrt_local(h, budgets).w
+        assert np.all(mrt[:, 1, 0, 2] == 0) and np.all(mrt[:, 0, 1] == 0)
+        assert np.all(mrt[:, 1, 0, :2] != 0)
+        scaled = beamform.enforce_power(h, budgets).w
+        assert np.all(scaled[:, 0, 1] == 0) and np.all(scaled[:, 1, 1] != 0)
+
+    def test_bad_budget_vectors_rejected(self):
+        h = random_stack(np.random.default_rng(6), 2, 1, 2, 2)
+        for bad in ([], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="1-D vector"):
+                beamform.mrt_local(h, bad)
+        with pytest.raises(ValueError, match="power > 0"):
+            beamform.mmse_local(h, [1.0, 0.0], 0.1)
+        with pytest.raises(ValueError, match=">= 0"):
+            beamform.enforce_power(h, [1.0, -1.0])
+        with pytest.raises(ValueError, match="shape \\(P,\\)"):
+            beamform.BeamformerSet(w=np.ones((2, 1, 2, 2)),
+                                   power_budget=np.ones(3))
+
+
+class TestAtomicArtifacts:
+    def test_failed_rows_keep_the_old_csv(self, tmp_path):
+        path = tmp_path / "eval.csv"
+        experiments._write_rows(path, "# old\n", ["a"], [[1.0]])
+        old = path.read_bytes()
+
+        def rows():
+            yield [2.0]
+            raise RuntimeError("writer died midway")
+        with pytest.raises(RuntimeError, match="midway"):
+            experiments._write_rows(path, "# new\n", ["a"], rows())
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["eval.csv"]
+
+
 class TestResolveOutDir:
     def test_precedence(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -387,6 +499,26 @@ class TestSweep:
             experiments.run_sweep(micro["config"], str(out), "p_dbw",
                                   (0.0,), policy="pooled", schemes=["mrt"],
                                   size=3)
+
+    @pytest.mark.parametrize("policy", ["fixed", "split", "pooled"])
+    def test_power_sweep_rows_match_single_value_sweeps(self, tmp_path,
+                                                        policy):
+        config = load_config(None, {
+            ("system", "k_sats"): "2", ("system", "m_users"): "3",
+            ("system", "n_antennas"): "3", ("run", "eval_size"): "12"})
+
+        def lines(values, name):
+            out = tmp_path / name
+            out.mkdir()
+            experiments.run_sweep(config, str(out), "p_dbw", values,
+                                  policy=policy, schemes=CLASSICAL)
+            return (out / "sweep.csv").read_text().splitlines()
+
+        values = (-10.0, 0.0, 7.5)
+        stacked = lines(values, "all")
+        single = [lines((v,), f"one{i}") for i, v in enumerate(values)]
+        assert stacked[:2] == single[0][:2]  # header and column names
+        assert stacked[2:] == [row for s in single for row in s[2:]]
 
     def test_bad_arguments(self, micro, tmp_path):
         with pytest.raises(ConfigError, match="variable"):
@@ -578,6 +710,39 @@ class TestCli:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,run_key", [
+        (["sweep", "--variable", "p_dbw", "--values=a,b"], ""),
+        (["sweep", "--variable", "p_dbw", "--values=0,nan"], ""),
+        (["sweep", "--variable", "p_dbw", "--values=0,4000"], ""),
+        (["sweep", "--variable", "p_dbw", "--values=0,-4000"], ""),
+        (["sweep", "--variable", "k_sats", "--values=2,0"], ""),
+        (["sweep", "--variable", "p_dbw", "--values=0", "--size", "0"], ""),
+        (["eval", "--size", "0"], ""),
+        (["quant", "--size", "-3"], ""),
+        (["latency", "--bits", "12"], ""),
+        (["latency", "--m-list", "4,0"], ""),
+        (["latency"], "latency_m_list = 0\n"),
+    ], ids=["values-not-numbers", "values-nan", "values-overflow",
+            "values-underflow", "k-sats-zero", "sweep-size-0", "eval-size-0",
+            "quant-size-negative", "latency-bits-12", "latency-m-list-0",
+            "config-latency-m-list-0"])
+    def test_bad_values_rejected_before_work(self, tmp_path, capsys,
+                                             monkeypatch, argv, run_key):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the values were "
+                                 "checked")
+        monkeypatch.setattr(experiments, "_sample_batch", no_work)
+        monkeypatch.setattr(accel, "latency_model", no_work)
+        p = tmp_path / "c.ini"
+        p.write_text(MICRO_INI.replace("[run]\n", "[run]\n" + run_key))
+        out = tmp_path / "out"
+        rc = cli.main(["--config", str(p), "--out", str(out), *argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        assert not out.exists() or not any(out.iterdir())
 
     def test_unknown_scheme_is_2(self, micro):
         rc = cli.main(["--config", micro["cfg_path"], "--out", micro["out"],

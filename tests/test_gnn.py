@@ -1,11 +1,12 @@
 """Network forward-pass tests: reference transcription, equivalence, counts."""
 
 import io
+import os
 
 import numpy as np
 import pytest
 
-from leobeam import gnn
+from leobeam import gnn, train
 
 TINY = gnn.scaled_dims(2, 32)    # N=2: widths 32/16/16/16/16/32/16/16
 
@@ -267,3 +268,35 @@ class TestContainer:
             patched = data[:8] + tag.to_bytes(4, "little") + data[12:]
             with pytest.raises(gnn.ArtifactError, match=f"tag {tag} "):
                 gnn.read_params(io.BytesIO(patched))
+
+
+class TestAtomicWrite:
+    def test_raising_writer_keeps_old_file(self, tmp_path):
+        path = tmp_path / "history.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError, match="midway"):
+            with gnn.atomic_write(path) as fh:
+                fh.write("new, half written")
+                raise RuntimeError("writer died midway")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["history.csv"]
+
+    def test_completed_write_replaces_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with gnn.atomic_write(path, "wb") as fh:
+            fh.write(b"new")
+        assert path.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_failed_checkpoint_keeps_old_one(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        params = make_params()
+        train.save_checkpoint(path, params, input_scale=2.0)
+        old = path.read_bytes()
+        # the second model is not a parameter set: the write fails after
+        # the first model's bytes
+        with pytest.raises(AttributeError):
+            train.save_checkpoint(path, [params, "not a model"])
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["model.ckpt"]
