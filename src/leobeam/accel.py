@@ -8,14 +8,24 @@ network: `gnn._forward_group` with each dense layer on the integer
 datapath.  Any stack of satellite graphs runs as one pass, each graph with
 its own activation scales.
 
-Code products run on float64 BLAS and are exact: every partial sum is an
-integer of magnitude at most k * 2^(2(bits-1)) for depth k, and `sa_gemm`
-admits only depths where that plus 2^31 of bias headroom stays within
-2^53, so every sum is representable whatever order BLAS adds in.  That
-covers every depth the 8-bit accumulator guard admits (k <= 131,072); at
-16 bits it caps the depth at 2^23 - 2 and deeper products raise
-`CapacityError` naming the bound.  The bias add, the overflow checks,
-ReLU and dequantization stay in exact-integer float64.
+The datapath holds codes in float64 from quantization to dequantization,
+with no integer dtype on the way.  Two private kernels serve it and the
+public wrappers alike: `_codes` (finite screen, scale, round half away
+from zero, clip) and `_code_product` (the depth guards and one float64
+BLAS product).  `quantize` and `sa_gemm` wrap them with their integer
+contracts: int8/int16 `QuantizedTensor` codes, and products in
+`AcceleratorConfig.acc_dtype`.  Inputs without negative values, which
+every layer after the first takes, skip the |x| copy and the sign restore.
+
+Code products are exact: every partial sum is an integer of magnitude at
+most k * 2^(2(bits-1)) for depth k, and the product kernel admits only
+depths where that plus 2^31 of bias headroom stays within 2^53, so every
+sum is representable whatever order BLAS adds in.  That covers every
+depth the 8-bit accumulator guard admits (k <= 131,072); at 16 bits it
+caps the depth at 2^23 - 2 and deeper products raise `CapacityError`
+naming the bound.  The bias add, the overflow checks, ReLU and
+dequantization run in place on the product, in exact-integer float64,
+so the beams are those of integer arithmetic, zeros included.
 
 The model is behavioral: cycle counts follow the stated formulas, not a
 synthesized design.  Weights and biases stream from off-chip once per
@@ -119,11 +129,55 @@ class QuantizedTensor:
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest with halves away from zero (not banker's)."""
     x = np.asarray(x)
-    # x + copysign(0.5, x) is -(|x| + 0.5) exactly for negative x, so its
-    # truncation equals sign(x) * floor(|x| + 0.5)
-    y = np.copysign(0.5, x, out=np.empty(x.shape))
-    y += x
-    return np.trunc(y, out=y)
+    return _round_magnitudes(np.abs(x, out=np.empty(x.shape)), x)
+
+
+def _round_magnitudes(mag: np.ndarray, signs=None, qmax: float = math.inf):
+    """In place: mag holds |v| for values v with the signs of `signs`
+    (None: v >= 0); returns v rounded half away from zero and clipped to
+    [-qmax, qmax]."""
+    # |v| + 0.5 rounds as v + copysign(0.5, v) does, so the floor of it
+    # with v's sign is that sum's truncation: halves go away from zero
+    mag += 0.5
+    np.floor(mag, out=mag)
+    np.minimum(mag, qmax, out=mag)
+    if signs is None:
+        return mag
+    return np.copysign(mag, signs, out=mag)
+
+
+def _codes(x: np.ndarray, bits: int, rows: int | None = None):
+    """(codes, scale): float64 codes of x at a symmetric scale, 1 if zero.
+
+    The code kernel: a finite screen, the scale amax / qmax, rounding half
+    away from zero and clipping to +-qmax, all in one fresh buffer that
+    becomes the codes.  With `rows`, the 2-D x is a stack of blocks of
+    that many rows, each its own tensor, and the scale is a (blocks, 1, 1)
+    array over codes.reshape(-1, rows, cols).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    qmax = 2 ** (bits - 1) - 1
+    # ReLU outputs have no negative values: |x| is x, and no signs need
+    # restoring (a code's sign of zero never reaches a product's value)
+    signed = x.min(initial=0.0) < 0.0
+    mags = np.abs(x) if signed else x
+    if rows is None:
+        blocks, amax = mags, mags.max(initial=0.0)
+    else:
+        blocks = mags.reshape(-1, rows, x.shape[1])
+        amax = blocks.max(axis=(1, 2), keepdims=True, initial=0.0)
+    # the maximum propagates NaN and inf, so it screens every value
+    if not np.all(np.isfinite(amax)):
+        raise ValueError("cannot quantize non-finite values")
+    scale = np.where(amax == 0.0, 1.0, amax / qmax)
+    # amax / qmax underflows to 0 for the least subnormal maxima
+    if not np.all(scale > 0.0):
+        raise ValueError("scale must be positive")
+    # |x| / scale is |x / scale| exactly; a subnormal scale rounds so far
+    # that it can exceed qmax, which the clip then binds
+    codes = np.divide(blocks, scale, out=blocks if signed else None)
+    return _round_magnitudes(codes.reshape(x.shape), x if signed else None,
+                             qmax), scale
 
 
 def quantize(x: np.ndarray, bits: int,
@@ -135,22 +189,12 @@ def quantize(x: np.ndarray, bits: int,
     """
     if bits not in (8, 16):
         raise ValueError("bits must be 8 or 16")
-    x = np.asarray(x, dtype=float)
-    qmax = 2 ** (bits - 1) - 1
-    if rows is None:
-        amax = np.abs(x).max(initial=0.0)
-    else:
-        amax = np.abs(x.reshape(-1, rows, x.shape[1])).max(
-            axis=(1, 2), initial=0.0).repeat(rows)[:, None]
-    # the maximum propagates NaN and inf, so it screens every value
-    if not np.all(np.isfinite(amax)):
-        raise ValueError("cannot quantize non-finite values")
-    scale = np.where(amax == 0.0, 1.0, amax / qmax)
-    codes = round_half_away(x / scale)
-    np.clip(codes, -qmax, qmax, out=codes)
+    codes, scale = _codes(x, bits, rows)
     dtype = np.int8 if bits == 8 else np.int16
-    return QuantizedTensor(codes=codes.astype(dtype),
-                           scale=float(scale) if rows is None else scale)
+    return QuantizedTensor(
+        codes=codes.astype(dtype),
+        scale=float(scale) if rows is None
+        else scale.reshape(-1).repeat(rows)[:, None])
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
@@ -178,12 +222,33 @@ def gemm_cycles(m: int, k: int, n: int, cfg: AcceleratorConfig) -> int:
 _EXACT_SUM = 2 ** 53 - 2 ** 31
 
 
+def _code_product(a: np.ndarray, b: np.ndarray,
+                  cfg: AcceleratorConfig) -> np.ndarray:
+    """The exact product a @ b of code matrices at cfg.bits, as float64.
+
+    The product kernel: the accumulator and float64 exactness guards on
+    the depth, then one float64 BLAS product, exact at every admitted
+    depth (see the module docstring).
+    """
+    k = a.shape[1]
+    unit = (2 ** (cfg.bits - 1)) ** 2
+    limit = 2 ** (cfg.acc_bits - 1) // unit
+    if k > limit:
+        raise CapacityError(
+            f"depth {k} exceeds the {cfg.acc_bits}-bit accumulator "
+            f"guarantee of {limit} products at {cfg.bits}-bit codes")
+    if k > _EXACT_SUM // unit:
+        raise CapacityError(
+            f"depth {k} exceeds the float64 exactness bound of "
+            f"{_EXACT_SUM // unit} products at {cfg.bits}-bit codes")
+    return np.matmul(a, b, dtype=np.float64)
+
+
 def sa_gemm(aq: QuantizedTensor, bq: QuantizedTensor,
             cfg: AcceleratorConfig):
     """Exact integer product of code matrices plus modeled cycles.
 
-    The product runs on float64 BLAS, exact at every admitted depth (see
-    the module docstring), and is returned in `cfg.acc_dtype`.
+    The product is returned in `cfg.acc_dtype`.
     """
     if aq.codes.ndim != 2 or bq.codes.ndim != 2:
         raise ValueError("sa_gemm expects 2-D operands")
@@ -195,17 +260,7 @@ def sa_gemm(aq: QuantizedTensor, bq: QuantizedTensor,
         raise ValueError("operand bit-widths disagree")
     if aq.bits != cfg.bits:
         raise ValueError("operand bit-width disagrees with config")
-    unit = (2 ** (aq.bits - 1)) ** 2
-    limit = 2 ** (cfg.acc_bits - 1) // unit
-    if k > limit:
-        raise CapacityError(
-            f"depth {k} exceeds the {cfg.acc_bits}-bit accumulator "
-            f"guarantee of {limit} products at {aq.bits}-bit codes")
-    if k > _EXACT_SUM // unit:
-        raise CapacityError(
-            f"depth {k} exceeds the float64 exactness bound of "
-            f"{_EXACT_SUM // unit} products at {aq.bits}-bit codes")
-    acc = aq.codes.astype(np.float64) @ bq.codes.astype(np.float64)
+    acc = _code_product(aq.codes, bq.codes, cfg)
     return acc.astype(cfg.acc_dtype), gemm_cycles(m, k, n, cfg)
 
 
@@ -318,25 +373,30 @@ def _q_dense(x: np.ndarray, layer: FcLayer, spec: LayerSpec, m: int,
     quantized with their own scale and the weights per tensor; one exact
     integer product serves all graphs.  The bias is added as 32-bit codes
     at each graph's product scale, ReLU applied on accumulators, and the
-    result dequantized for the next stage.  Until the dequantization every
-    value is an integer below 2^53 held in float64, so each step is exact.
+    result dequantized for the next stage, all in place on the product.
+    Until the dequantization every value is an integer below 2^53 held in
+    float64, so each step is exact.
     """
-    aq = quantize(x, cfg.bits, rows=m)
-    wq = quantize(layer.w, cfg.bits)
-    acc, cycles = sa_gemm(aq, wq, cfg)
-    sab = aq.scale * wq.scale
+    a, a_scale = _codes(x, cfg.bits, rows=m)
+    w, w_scale = _codes(layer.w, cfg.bits)
+    total = _code_product(a, w, cfg)
+    sab = a_scale * w_scale
     # one bias code row per graph: the rows of a graph share its scale
-    bias_codes = round_half_away(layer.b / sab[::m])
+    bias_codes = round_half_away(layer.b / sab)
     if np.abs(bias_codes).max(initial=0.0) > _INT32_MAX:
         raise CapacityError(f"bias codes overflow 32 bits at {spec.name}")
-    total = (acc.reshape(-1, m, acc.shape[1])
-             + bias_codes[:, None, :]).reshape(acc.shape)
-    if np.abs(total).max(initial=0.0) >= 2 ** (cfg.acc_bits - 1):
+    # + 0.0 turns -0.0 codes into +0.0, so a zero sum is +0.0 whatever
+    # sign of zero the product has, as with integer accumulators
+    bias_codes += 0.0
+    graphs = total.reshape(-1, m, total.shape[1])
+    graphs += bias_codes
+    limit = 2 ** (cfg.acc_bits - 1)
+    if total.max(initial=0.0) >= limit or -total.min(initial=0.0) >= limit:
         raise CapacityError(f"accumulator overflow after bias at {spec.name}")
     if spec.relu:
         np.maximum(total, 0.0, out=total)
-    total *= sab
-    return total, cycles
+    graphs *= sab
+    return total, gemm_cycles(len(x), *w.shape, cfg)
 
 
 def quantized_forward_batch(params: GnnParams, h: np.ndarray, power: float,

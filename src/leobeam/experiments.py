@@ -207,6 +207,8 @@ class ExperimentConfig:
         _check_user_counts(self.latency_m_list, "run.latency_m_list")
         # the domain classes hold the remaining range checks
         try:
+            _check_budget(self.p_dbw, (self.k_sats,), self.m_users,
+                         self.sigma2, "[system] p_dbw")
             self.train_config()
             self.accel_config()
         except (ValueError, ArithmeticError) as exc:
@@ -566,16 +568,28 @@ def run_eval(config: ExperimentConfig, out_dir: str,
     return summary
 
 
-def _sweep_power(p_dbw: float) -> float:
-    """Per-satellite budget in watts of one p_dbw sweep value, which must
-    give a finite positive power."""
+def _check_budget(p_dbw: float, k_values, m_users: int, sigma2: float,
+                 where: str) -> float:
+    """Per-satellite budget P in watts of p_dbw, checked for every power
+    policy at every satellite count K in k_values.
+
+    The policies' budgets run from P/K to K*P; each must be finite and
+    > 0 and keep the MMSE regularizer M*sigma2/budget finite (a subnormal
+    budget overflows it).  Otherwise ConfigError names `where`.
+    """
     try:
         watts = dbw_to_watts(p_dbw)
     except OverflowError:
         watts = math.inf
-    if not 0.0 < watts < math.inf:
-        raise ConfigError(f"p_dbw sweep value {p_dbw!r} gives a budget of "
-                          f"{watts!r} W; it must be finite and > 0")
+    k = max(k_values)
+    low, high = watts / k, watts * k
+    if not (0.0 < low and high < math.inf
+            and m_users * sigma2 / low < math.inf):
+        raise ConfigError(
+            f"{where} = {p_dbw!r} gives {watts!r} W per satellite, out of "
+            f"range: every power policy's budget (P/K to K*P, K up to {k}) "
+            f"must be finite and > 0 and keep the MMSE regularizer "
+            f"M*sigma2/P finite")
     return watts
 
 
@@ -612,13 +626,22 @@ def run_sweep(config: ExperimentConfig, out_dir: str, variable: str,
     if variable == "p_dbw":
         points = [float(v) for v in values]
         budgets = budget_for_policy(
-            policy, np.array([_sweep_power(v) for v in points]),
+            policy, np.array([_check_budget(v, (config.k_sats,),
+                                           config.m_users, config.sigma2,
+                                           "[system] p_dbw sweep value")
+                              for v in points]),
             config.k_sats)
     else:
+        fractional = [v for v in values if not float(v).is_integer()]
+        if fractional:
+            raise ConfigError(f"k_sats sweep values must be integers, "
+                              f"got {fractional[0]!r}")
         points = [int(v) for v in values]
         if min(points) < 1:
             raise ConfigError(f"k_sats sweep value must be >= 1, "
                               f"got {min(points)}")
+        _check_budget(config.p_dbw, points, config.m_users, config.sigma2,
+                     "[system] p_dbw")
         budgets = [budget_for_policy(policy, config.power, k)
                    for k in points]
 

@@ -5,6 +5,7 @@ module under test is checked against an independent transcription rather
 than against itself.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,14 @@ from leobeam.accel import (AcceleratorConfig, CapacityError, QuantizedTensor,
 
 # frozen: ceil(512/16)^2 * (512 + ceil(512/64) * (2*16-2)) = 1024 * 752
 GEMM_CYCLES_512_CUBE = 770_048
+
+# SHA-256 of the int8 and int16 beams in test_beams_match_pinned_digest,
+# taken from the datapath that ran its codes through int8/int16 tensors;
+# the float64 code path must reproduce them byte for byte
+BEAMS_SHA256 = {
+    8: "46940220835f0395d1c8c911c407c86cc36dea911214f718d15f6e1eea2fff91",
+    16: "6577fe88ba8af7b9da913be50805c5eaed243bade20ccc2f20c88e5a035f6614",
+}
 
 # frozen totals for the unscaled network (N=4) serving M=4 users, default
 # config (S=16, 8 bytes/cycle, 10 ns), including the 2S-2 prologue
@@ -132,6 +141,15 @@ class TestQuantize:
             quantize(np.array([1.0, np.inf]), 16)
         with pytest.raises(ValueError):
             quantize(np.ones(3), 4)
+
+    def test_subnormal_scales(self):
+        # 190 * 2^-1074 / 127 rounds to 2^-1074, so the codes reach 190
+        # before the clip; 2^-1074 / 127 underflows to a zero scale
+        tiny = np.nextafter(0.0, 1.0)
+        q = quantize(np.array([190 * tiny, -190 * tiny, 0.0]), 8)
+        assert q.codes.tolist() == [127, -127, 0] and q.scale == tiny
+        with pytest.raises(ValueError, match="scale must be positive"):
+            quantize(np.array([tiny]), 8)
 
     def test_tensor_validation(self):
         with pytest.raises(ValueError):
@@ -447,6 +465,9 @@ class TestQuantizedForward:
 
     def test_input_validation(self):
         cfg = AcceleratorConfig(bits=8)
+        with pytest.raises(ValueError, match="scale must be positive"):
+            quantized_forward(self.params, np.full((4, 4), 1e-322 + 0j),
+                              2.0, cfg)
         with pytest.raises(ValueError, match="shape"):
             quantized_forward(self.params, self.h[None], 2.0, cfg)
         with pytest.raises(ValueError, match="antenna"):
@@ -552,3 +573,75 @@ class TestQuantizedStack:
                     quantized_forward(params, h[b, k], 1.0, cfg)
         with pytest.raises(CapacityError, match="bias codes .* at in_fc1"):
             accel.quantized_forward_batch(params, h, 1.0, cfg)
+
+
+class TestFloatCodeDatapath:
+    """The float64-code layers against pinned beams and int64 arithmetic."""
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_beams_match_pinned_digest(self, bits):
+        # a desk-width network with small biases; two graphs rescaled
+        rng = np.random.Generator(np.random.Philox(2026))
+        params = gnn.init_params(gnn.scaled_dims(4, 8), rng)
+        for lay in params.layers:
+            lay.b[:] = rng.normal(scale=1e-4, size=lay.b.shape)
+        h = rng.normal(size=(5, 2, 4, 4)) + 1j * rng.normal(size=(5, 2, 4, 4))
+        h[1, 0] *= 1e-2
+        h[3, 1] *= 1e2
+        w, _ = accel.quantized_forward_batch(params, h, 1.5,
+                                             AcceleratorConfig(bits=bits))
+        assert w.shape == h.shape and w.dtype == np.complex128
+        assert hashlib.sha256(w.tobytes()).hexdigest() == BEAMS_SHA256[bits]
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(bits=st.sampled_from((8, 16)), m=st.integers(1, 4),
+           n=st.integers(1, 4),
+           scales=st.lists(st.sampled_from((0.0, 1e-3, 1.0, 1e3)),
+                           min_size=1, max_size=4),
+           bias=st.sampled_from((0.0, 1e-6, 1e-4, 1e-2)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_int64_datapath(self, bits, m, n, scales, bias, seed):
+        rng = np.random.default_rng(seed)
+        params = gnn.init_params(gnn.scaled_dims(n, 16), rng)
+        for lay in params.layers:
+            lay.b[:] = rng.normal(scale=bias, size=lay.b.shape)
+        shape = (len(scales), m, n)
+        # a zero scale gives an all-zero graph with signed zeros in it
+        h = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+            * np.array(scales)[:, None, None]
+        cfg = AcceleratorConfig(bits=bits)
+        dense = int64_dense(bits, m)
+        try:
+            w, _ = accel.quantized_forward_batch(params, h, 1.5, cfg)
+        except CapacityError:
+            # the int64 stage asserts the same bias and accumulator bounds
+            with pytest.raises(AssertionError):
+                gnn._forward_group(params, h, 1.5, dense=dense)
+            return
+        _, want = gnn._forward_group(params, h, 1.5, dense=dense)
+        assert w.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_zero_sums_are_positive_zero(self, bits, monkeypatch):
+        # integer accumulators have one zero; a BLAS may return -0.0 for a
+        # sum of -0.0 products, and -0.0 bias codes must not keep it
+        product = accel._code_product
+
+        def negative_zero_product(a, b, cfg):
+            acc = product(a, b, cfg)
+            acc[acc == 0.0] = -0.0
+            return acc
+
+        monkeypatch.setattr(accel, "_code_product", negative_zero_product)
+        rng = np.random.Generator(np.random.Philox(31))
+        params = gnn.init_params(gnn.scaled_dims(4, 16), rng)
+        for lay in params.layers:
+            lay.b[:] = -1e-300   # rounds to -0.0 codes at every scale
+        h = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        h[1] = -0.0
+        cfg = AcceleratorConfig(bits=bits)
+        w, _ = accel.quantized_forward_batch(params, h, 1.5, cfg)
+        _, want = gnn._forward_group(params, h, 1.5,
+                                     dense=int64_dense(bits, 4))
+        assert w.tobytes() == want.tobytes()

@@ -1,6 +1,7 @@
 """Config parsing, experiment runners, artifact formats, CLI exit codes."""
 
 import configparser
+import dataclasses
 import hashlib
 import os
 import re
@@ -127,6 +128,37 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=rf"bad value for \[{sect}\] "
                            rf"{key} = '{text}': not a finite number"):
             load_config(str(p))
+
+    @pytest.mark.parametrize("p_dbw", ["4000", "-4000", "-3235", "-3200"])
+    def test_unusable_budget_names_key(self, tmp_path, p_dbw):
+        # overflow, 0 W, and subnormal budgets whose MMSE regularizer
+        # M*sigma2/P overflows (M = 4, sigma2 = 1e-12 W)
+        p = tmp_path / "c.ini"
+        p.write_text(f"[system]\np_dbw = {p_dbw}\n")
+        with pytest.raises(ConfigError,
+                           match=rf"^\[system\] p_dbw = {p_dbw}\.0 gives "):
+            load_config(str(p))
+
+    def test_budget_check_covers_every_policy(self):
+        # M*sigma2/P is finite down to about 2.2e-320 W at M = 4; split
+        # divides P by K, so the least usable budget grows with K
+        sigma2 = experiments.dbm_to_watts(-90.0)
+        assert experiments._check_budget(-3190.0, (1,), 4, sigma2, "k") \
+            == experiments.dbw_to_watts(-3190.0)
+        with pytest.raises(ConfigError, match="K up to 8"):
+            experiments._check_budget(-3190.0, (1, 8), 4, sigma2, "k")
+        with pytest.raises(ConfigError, match="K up to 3"):
+            experiments._check_budget(3080.0, (3,), 4, sigma2, "k")
+        experiments._check_budget(3080.0, (1,), 4, sigma2, "k")
+
+    def test_least_usable_budget_gives_finite_rates(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text(MICRO_INI.replace("k_sats = 1", "k_sats = 2\n"
+                                       "p_dbw = -3190"))
+        config = load_config(str(p))
+        summary = experiments.run_eval(
+            config, str(tmp_path), schemes=list(ALL_SCHEMES[:5]), size=3)
+        assert all(np.isfinite(v).all() for v in summary.values())
 
     def test_bits_checked(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -530,6 +562,17 @@ class TestSweep:
         with pytest.raises(ConfigError, match=">= 1"):
             experiments.run_sweep(micro["config"], str(tmp_path), "k_sats",
                                   (0,), schemes=["mrt"], size=2)
+        with pytest.raises(ConfigError, match="integers, got 1.5"):
+            experiments.run_sweep(micro["config"], str(tmp_path), "k_sats",
+                                  (1, 1.5), schemes=["mrt"], size=2)
+        # the configured budget is checked at every swept K
+        with pytest.raises(ConfigError, match=r"^\[system\] p_dbw = .* "
+                           r"K up to 100000"):
+            experiments.run_sweep(
+                dataclasses.replace(micro["config"], p_dbw=-3195.0),
+                str(tmp_path), "k_sats", (1, 100000), schemes=["mrt"],
+                size=2)
+        assert not os.listdir(tmp_path)
 
 
 class TestQuantCompare:
@@ -699,6 +742,7 @@ class TestCli:
         ("train", "[train]\nbatch_size = 0\n"),
         ("train", "[train]\nlr_decay_every = 0\n"),
         ("eval", "[system]\np_dbw = 4000\n"),
+        ("eval", "[system]\np_dbw = -3235\n"),
     ])
     def test_out_of_range_is_2(self, tmp_path, capsys, command, text):
         p = tmp_path / "bad.ini"
@@ -716,7 +760,10 @@ class TestCli:
         (["sweep", "--variable", "p_dbw", "--values=0,nan"], ""),
         (["sweep", "--variable", "p_dbw", "--values=0,4000"], ""),
         (["sweep", "--variable", "p_dbw", "--values=0,-4000"], ""),
+        (["sweep", "--variable", "p_dbw", "--values=-3235,0",
+          "--schemes", "mmse"], ""),
         (["sweep", "--variable", "k_sats", "--values=2,0"], ""),
+        (["sweep", "--variable", "k_sats", "--values=1.5,2.9"], ""),
         (["sweep", "--variable", "p_dbw", "--values=0", "--size", "0"], ""),
         (["eval", "--size", "0"], ""),
         (["quant", "--size", "-3"], ""),
@@ -724,7 +771,8 @@ class TestCli:
         (["latency", "--m-list", "4,0"], ""),
         (["latency"], "latency_m_list = 0\n"),
     ], ids=["values-not-numbers", "values-nan", "values-overflow",
-            "values-underflow", "k-sats-zero", "sweep-size-0", "eval-size-0",
+            "values-underflow", "values-subnormal", "k-sats-zero",
+            "k-sats-fractional", "sweep-size-0", "eval-size-0",
             "quant-size-negative", "latency-bits-12", "latency-m-list-0",
             "config-latency-m-list-0"])
     def test_bad_values_rejected_before_work(self, tmp_path, capsys,
