@@ -5,8 +5,9 @@ array computing exact integer GEMMs with a closed-form cycle count, a
 double-buffered latency model where each layer costs max(compute cycles,
 memory cycles), and a quantized end-to-end forward pass of the beamforming
 network: `gnn._forward_group` with each dense layer on the integer
-datapath.  Any stack of satellite graphs runs as one pass, each graph with
-its own activation scales.
+datapath, `quantized_dense`, which `train.infer_batch` takes as well.  One
+graph or any stack of them runs as one pass, each graph with its own
+activation scales.
 
 The datapath holds codes in float64 from quantization to dequantization,
 with no integer dtype on the way.  Two private kernels serve it and the
@@ -399,37 +400,30 @@ def _q_dense(x: np.ndarray, layer: FcLayer, spec: LayerSpec, m: int,
     return total, gemm_cycles(len(x), *w.shape, cfg)
 
 
-def quantized_forward_batch(params: GnnParams, h: np.ndarray, power: float,
-                            cfg: AcceleratorConfig, counts=None):
-    """Fixed-point forward pass for a stack of satellite graphs.
-
-    h has shape (..., M, N), one graph per trailing (M, N) channel matrix;
-    the beams come back in that shape.  Activation scales are per graph,
-    so each graph's beams equal those of its own `quantized_forward`.  Max
-    aggregation, concatenation, and the final normalization and
-    real-to-complex conversion stay in float off the modeled datapath.
-    The report is assembled from the executed integer products, all graphs
-    streaming through each layer as one operand of their G*M rows, so it
-    equals latency_model(dims, G*M, cfg).
-    """
-    h = np.asarray(h)
-    m = h.shape[-2]
-    executed = []
-
+def quantized_dense(cfg: AcceleratorConfig, m: int, executed=None):
+    """The integer datapath as the dense layer of `gnn._forward_group`
+    for graphs of m nodes, each with its own activation scales; with a
+    list `executed`, each layer appends its executed `LayerLatency`."""
     def dense(x, layer, spec):
         y, cycles = _q_dense(x, layer, spec, m, cfg)
-        executed.append(_layer_row(spec, len(x), cfg, compute=cycles))
+        if executed is not None:
+            executed.append(_layer_row(spec, len(x), cfg, compute=cycles))
         return y
-
-    _, w = _forward_group(params, h, power, dense=_counted(dense, counts))
-    return w, _report(executed, cfg)
+    return dense
 
 
-def quantized_forward(params: GnnParams, h_k: np.ndarray, power: float,
+def quantized_forward(params: GnnParams, h: np.ndarray, power: float,
                       cfg: AcceleratorConfig, counts=None):
-    """Fixed-point forward pass for one satellite, (M, N), plus its latency
-    report, which matches latency_model exactly."""
-    h_k = np.asarray(h_k)
-    if h_k.ndim != 2:
-        raise ValueError("per-satellite channel must have shape (M, N)")
-    return quantized_forward_batch(params, h_k, power, cfg, counts)
+    """Fixed-point beams of one graph, h of shape (M, N), or of any
+    (..., M, N) stack, plus the latency report of the executed products.
+    Max aggregation, concatenation and power normalization stay in float,
+    off the modeled datapath.  All G graphs stream through each layer as
+    one operand of G*M rows, so the report is latency_model(dims, G*M, cfg).
+    """
+    h = np.asarray(h)
+    if h.ndim < 2:
+        raise ValueError("channel must have shape (M, N) or (..., M, N)")
+    executed = []
+    dense = _counted(quantized_dense(cfg, h.shape[-2], executed), counts)
+    _, w = _forward_group(params, h, power, dense=dense)
+    return w, _report(executed, cfg)

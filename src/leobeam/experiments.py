@@ -205,6 +205,10 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"run.{name} must be >= 1")
         _check_user_counts(self.latency_m_list, "run.latency_m_list")
+        if not 0.0 < _watts(dbm_to_watts, self.sigma2_dbm) < math.inf:
+            raise ConfigError(
+                f"[system] sigma2_dbm = {self.sigma2_dbm!r} is out of range: "
+                "the noise power must be finite and > 0 W")
         # the domain classes hold the remaining range checks
         try:
             _check_budget(self.p_dbw, (self.k_sats,), self.m_users,
@@ -363,30 +367,17 @@ def canonical_scheme(name: str) -> str:
     return resolved
 
 
-@dataclass
-class GnnContext:
-    """Trained network plus the input scale it was trained with."""
-
-    params: object
-    input_scale: float
-
-    @property
-    def n_antennas(self) -> int:
-        return self.params.dims.n_antennas
-
-
-def load_gnn_context(path: str) -> GnnContext:
+def load_gnn_context(path: str) -> train.Checkpoint:
     if not os.path.exists(path):
         raise MissingArtifactError(
             f"checkpoint not found: {path}; train a model first with "
             "'leobeam train --config <file>'")
-    ckpt = train.load_checkpoint(path)
-    return GnnContext(params=ckpt.params, input_scale=ckpt.input_scale)
+    return train.load_checkpoint(path)
 
 
 def compute_beams(scheme: str, h, per_sat_power, total_power,
-                  sigma2: float, gnn_ctx: GnnContext | None = None,
-                  gnn_ctx_global: GnnContext | None = None):
+                  sigma2: float, gnn_ctx: train.Checkpoint | None = None,
+                  gnn_ctx_global: train.Checkpoint | None = None):
     """Return a BeamformerSet for a realization (K, M, N) or a stack of
     them (..., K, M, N); the beams have the channel's shape.
 
@@ -568,6 +559,14 @@ def run_eval(config: ExperimentConfig, out_dir: str,
     return summary
 
 
+def _watts(convert, decibels: float) -> float:
+    """convert(decibels), or inf where the power overflows a float."""
+    try:
+        return convert(decibels)
+    except OverflowError:
+        return math.inf
+
+
 def _check_budget(p_dbw: float, k_values, m_users: int, sigma2: float,
                  where: str) -> float:
     """Per-satellite budget P in watts of p_dbw, checked for every power
@@ -577,10 +576,7 @@ def _check_budget(p_dbw: float, k_values, m_users: int, sigma2: float,
     > 0 and keep the MMSE regularizer M*sigma2/budget finite (a subnormal
     budget overflows it).  Otherwise ConfigError names `where`.
     """
-    try:
-        watts = dbw_to_watts(p_dbw)
-    except OverflowError:
-        watts = math.inf
+    watts = _watts(dbw_to_watts, p_dbw)
     k = max(k_values)
     low, high = watts / k, watts * k
     if not (0.0 < low and high < math.inf
@@ -716,11 +712,10 @@ def run_quant_compare(config: ExperimentConfig, out_dir: str, size=None):
                             weights=wt).weighted_sum
 
     def quant_wsr(bits):
-        # every sample and satellite in one stacked pass, scales per graph
-        w, _ = accel.quantized_forward_batch(
-            ctx.params, h_batch / ctx.input_scale, sys.power,
-            config.accel_config(bits=bits))
-        return wsr_of(w)
+        # the float pass's driver with fixed-point layers, scales per graph
+        dense = accel.quantized_dense(config.accel_config(bits=bits),
+                                      config.m_users)
+        return wsr_of(train.infer_batch(ctx.params, h_batch, sys, dense))
 
     float_wsr = wsr_of(train.infer_batch(ctx.params, h_batch, sys))
     q8 = quant_wsr(8)

@@ -12,7 +12,9 @@ one batch, evaluates MLP1 once per node and takes the dense layer as a
 callback, so training, float inference, the instrumented per-satellite
 forward and the fixed-point accelerator model all compute the same network
 with the same code.  The pairwise schedule `graph_conv`, which evaluates
-MLP1 once per ordered neighbor pair, is kept only as a reference.
+MLP1 once per ordered neighbor pair, is kept only as a reference.  The
+forward, the reference and the backward in `train` all address a conv as
+the slice of its four dense layers (`layers[2:6]`, `layers[6:10]`).
 """
 
 from __future__ import annotations
@@ -138,12 +140,6 @@ class FcLayer:
     b: np.ndarray
 
 
-@dataclass(frozen=True)
-class ConvParams:
-    mlp1: tuple[FcLayer, FcLayer]
-    mlp2: tuple[FcLayer, FcLayer]
-
-
 @dataclass
 class GnnParams:
     dims: GnnDims
@@ -159,13 +155,6 @@ class GnnParams:
                                  f"!= {(spec.fan_in, spec.fan_out)}")
             if layer.b.shape != (spec.fan_out,):
                 raise ValueError(f"{spec.name}: bias shape mismatch")
-
-    def conv(self, index: int) -> ConvParams:
-        if index not in (1, 2):
-            raise ValueError("conv index must be 1 or 2")
-        base = 2 + (index - 1) * 4
-        return ConvParams(mlp1=(self.layers[base], self.layers[base + 1]),
-                          mlp2=(self.layers[base + 2], self.layers[base + 3]))
 
 
 def init_params(dims: GnnDims, rng: np.random.Generator,
@@ -368,14 +357,15 @@ def _mlp(x: np.ndarray, pair, counts=None) -> np.ndarray:
     return _fc(_fc(x, pair[0], True, counts), pair[1], True, counts)
 
 
-def graph_conv(conv_params: ConvParams, x: np.ndarray, counts=None):
+def graph_conv(layers, x: np.ndarray, counts=None):
     """Pair-loop schedule of one graph conv over one graph, x: (M, l3).
+    layers are the conv's four dense layers, as `_conv_forward` takes them.
 
     A single node has no neighbors; its aggregate is the zero vector, the
     identity of max over ReLU outputs.
     """
     m = x.shape[0]
-    agg_width = conv_params.mlp1[1].w.shape[1]
+    agg_width = layers[1].w.shape[1]
     out = []
     for i in range(m):
         neigh = []
@@ -383,10 +373,10 @@ def graph_conv(conv_params: ConvParams, x: np.ndarray, counts=None):
             if j == i:
                 continue
             _count(counts, "mlp1_nodes", 1)
-            neigh.append(_mlp(x[j:j + 1], conv_params.mlp1, counts))
+            neigh.append(_mlp(x[j:j + 1], layers[:2], counts))
         agg = np.maximum.reduce(neigh) if neigh else np.zeros((1, agg_width))
         combined = np.concatenate([x[i:i + 1], agg], axis=-1)
-        out.append(_mlp(combined, conv_params.mlp2, counts))
+        out.append(_mlp(combined, layers[2:], counts))
     return np.concatenate(out, axis=0)
 
 
@@ -394,8 +384,8 @@ def _forward_pairwise(params: GnnParams, h_k, power: float, counts=None):
     n = params.dims.n_antennas
     x = _mlp(np.concatenate([h_k.real, h_k.imag], axis=-1),
              params.layers[:2], counts)
-    for c in (1, 2):
-        x = graph_conv(params.conv(c), x, counts)
+    for base in (2, 6):
+        x = graph_conv(params.layers[base:base + 4], x, counts)
     out = _fc(x, params.layers[10], False, counts)
     return normalize_power(out[:, :n] + 1j * out[:, n:2 * n], power)
 
@@ -581,5 +571,8 @@ def read_params(fh) -> GnnParams:
         w = np.frombuffer(read_exact(fh, 8 * spec.fan_in * spec.fan_out),
                           dtype=np.float64).reshape(spec.fan_in, spec.fan_out)
         b = np.frombuffer(read_exact(fh, 8 * spec.fan_out), dtype=np.float64)
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ArtifactError(f"{_stream_name(fh)}: non-finite weights or "
+                                f"biases in {spec.name}")
         layers.append(FcLayer(w=w.copy(), b=b.copy()))
     return GnnParams(dims=dims, layers=layers)

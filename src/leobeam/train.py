@@ -40,7 +40,7 @@ from . import channel
 from .beamform import BeamformerSet, rate_terms
 from .gnn import (ArtifactError, FcLayer, GnnParams, ZERO_POWER, atomic_write,
                   init_params, read_exact, read_params, scaled_dims,
-                  write_params, _forward_group, _power_scale)
+                  write_params, _dense, _forward_group, _power_scale)
 
 logger = logging.getLogger(__name__)
 
@@ -198,16 +198,16 @@ def _neighbor_max_backward(g_agg, route):
     return gh
 
 
-def _conv_backward(cache, conv, g, m: int, blocks, acc):
+def _conv_backward(cache, layers, g, m: int, blocks, acc):
     # one name for the running gradient, so each is freed once consumed
-    g = _dense_backward(conv.mlp2[1], cache.g1, cache.out, g, blocks, acc[3])
-    g = _dense_backward(conv.mlp2[0], cache.comb, cache.g1, g, blocks, acc[2])
+    g = _dense_backward(layers[3], cache.g1, cache.out, g, blocks, acc[3])
+    g = _dense_backward(layers[2], cache.comb, cache.g1, g, blocks, acc[2])
     width_in = cache.x.shape[1]
     g_skip, g_agg = g[:, :width_in], g[:, width_in:]
     g = _neighbor_max_backward(g_agg.reshape(-1, m, g_agg.shape[1]),
                                cache.route).reshape(g_agg.shape)
-    g = _dense_backward(conv.mlp1[1], cache.h1, cache.h2, g, blocks, acc[1])
-    g = _dense_backward(conv.mlp1[0], cache.x, cache.h1, g, blocks, acc[0])
+    g = _dense_backward(layers[1], cache.h1, cache.h2, g, blocks, acc[1])
+    g = _dense_backward(layers[0], cache.x, cache.h1, g, blocks, acc[0])
     g += g_skip
     return g
 
@@ -239,10 +239,8 @@ def _backward_group(params: GnnParams, cache, gw, power: float, blocks,
     lay, acc = params.layers, grads.layers
     g = _dense_backward(lay[10], cache.z2, None,
                         gout.reshape(len(cache.z2), -1), blocks, acc[10])
-    g = _conv_backward(cache.convs[1], params.conv(2), g, m, blocks,
-                       acc[6:10])
-    g = _conv_backward(cache.convs[0], params.conv(1), g, m, blocks,
-                       acc[2:6])
+    g = _conv_backward(cache.convs[1], lay[6:10], g, m, blocks, acc[6:10])
+    g = _conv_backward(cache.convs[0], lay[2:6], g, m, blocks, acc[2:6])
     g = _dense_backward(lay[1], cache.a1, cache.a2, g, blocks, acc[1])
     _dense_backward(lay[0], cache.feats, cache.a1, g, blocks, acc[0],
                     want_gx=False)
@@ -287,12 +285,12 @@ def _params_list(params) -> list:
     return list(params) if isinstance(params, (list, tuple)) else [params]
 
 
-def _forward_beams(params, batch, sys: SystemParams, keep: bool):
-    """Scaled channels, beams and (with keep) forward caches for a batch.
-
-    Parameter set i serves satellites i, i + P, i + 2P, ... of the P sets
-    given; those satellites run stacked through one forward pass.
-    """
+def _forward_beams(params, batch, sys: SystemParams, keep: bool,
+                   dense=_dense):
+    """Scaled channels h/s, beams, and per parameter set in use (the set,
+    its satellites' index, its forward cache if keep).  The one place that
+    assigns satellites to sets: set i of P serves satellites i, i + P, ...,
+    which run stacked through one pass with `dense` as the layer."""
     params_list = _params_list(params)
     h = _as_batch(batch)
     _, k, m, n = h.shape
@@ -303,23 +301,21 @@ def _forward_beams(params, batch, sys: SystemParams, keep: bool):
     hs = h / sys.input_scale
     hs = hs.astype(np.complex128 if f64 else np.complex64)
     n_sets = len(params_list)
-    caches = []
+    groups = []
     w = np.empty_like(hs)
     for i, p in enumerate(params_list[:k]):
-        cache, wg = _forward_group(p, hs[:, i::n_sets].transpose(1, 0, 2, 3),
-                                   sys.power, keep)
-        caches.append(cache)
-        w[:, i::n_sets] = wg.transpose(1, 0, 2, 3)
-    return hs, w, caches
+        sats = np.s_[:, i::n_sets]
+        cache, wg = _forward_group(p, hs[sats].transpose(1, 0, 2, 3),
+                                   sys.power, keep, dense)
+        groups.append((p, sats, cache))
+        w[sats] = wg.transpose(1, 0, 2, 3)
+    return hs, w, groups
 
 
-def _engine(params, batch, sys: SystemParams, want_grads: bool = True,
-            only_satellite: int | None = None):
+def _engine(params, batch, sys: SystemParams, want_grads: bool = True):
     """Loss, mean WSR, beams and (if wanted) gradients for a channel batch."""
-    params_list = _params_list(params)
-    hs, w, caches = _forward_beams(params, batch, sys, want_grads)
-    b, k, m, _ = hs.shape
-    n_sets = len(params_list)
+    hs, w, groups = _forward_beams(params, batch, sys, want_grads)
+    b, _, m, _ = hs.shape
     sigma2 = sys.sigma2 / sys.input_scale ** 2
     weights = sys.weight_vector()
     c, sinr, intf = rate_terms(hs, w, sigma2)
@@ -329,15 +325,12 @@ def _engine(params, batch, sys: SystemParams, want_grads: bool = True,
         return -mean_wsr, mean_wsr, w, None
 
     gw = _wsr_backward(hs, c, sinr, intf, weights, sys.bandwidth, b)
-    grads = [_zero_grads(p) for p in params_list]
+    grads = [_zero_grads(p) for p in _params_list(params)]
     rows = b * m
-    for i, (p, cache) in enumerate(zip(params_list, caches)):
-        blocks = [slice(j * rows, (j + 1) * rows)
-                  for j, ki in enumerate(range(i, k, n_sets))
-                  if only_satellite in (None, ki)]
-        if blocks:
-            _backward_group(p, cache, gw[:, i::n_sets].transpose(1, 0, 2, 3),
-                            sys.power, blocks, grads[i])
+    for (p, sats, cache), g in zip(groups, grads):
+        gs = gw[sats].transpose(1, 0, 2, 3)
+        blocks = [slice(j * rows, (j + 1) * rows) for j in range(len(gs))]
+        _backward_group(p, cache, gs, sys.power, blocks, g)
     if not isinstance(params, (list, tuple)):
         grads = grads[0]
     return -mean_wsr, mean_wsr, w, grads
@@ -349,16 +342,13 @@ def batch_loss(params, batch, sys: SystemParams) -> float:
     return loss
 
 
-def gradients(params, batch, sys: SystemParams,
-              only_satellite: int | None = None):
+def gradients(params, batch, sys: SystemParams):
     """Exact reverse-mode gradient of batch_loss.
 
     With tied (single) params the gradients of all satellite passes
-    accumulate into one GradientSet; only_satellite restricts the backward
-    pass to one satellite's contribution (the forward still runs all).
+    accumulate into one GradientSet.
     """
-    _, _, _, grads = _engine(params, batch, sys,
-                             only_satellite=only_satellite)
+    _, _, _, grads = _engine(params, batch, sys)
     return grads
 
 
@@ -372,9 +362,10 @@ def infer_beamformers(params, realization, sys: SystemParams) -> BeamformerSet:
                          power_budget=sys.power, scope="per_satellite")
 
 
-def infer_batch(params, h, sys: SystemParams) -> np.ndarray:
-    """Beamformers for a channel batch, shape (B, K, M, N)."""
-    return _forward_beams(params, h, sys, keep=False)[1]
+def infer_batch(params, h, sys: SystemParams, dense=_dense) -> np.ndarray:
+    """Beamformers for a channel batch, shape (B, K, M, N); `dense` is the
+    layer, float by default or `accel.quantized_dense`."""
+    return _forward_beams(params, h, sys, keep=False, dense=dense)[1]
 
 
 # --- optimizer -----------------------------------------------------------------
@@ -549,6 +540,9 @@ def save_checkpoint(path, params, input_scale: float = 1.0) -> None:
 
 @dataclass
 class Checkpoint:
+    """Trained parameter sets (one, or one per satellite if untied) and
+    the input scale they were trained with."""
+
     params_list: list
     input_scale: float
 
@@ -556,6 +550,10 @@ class Checkpoint:
     def params(self):
         return (self.params_list[0] if len(self.params_list) == 1
                 else self.params_list)
+
+    @property
+    def n_antennas(self) -> int:
+        return self.params_list[0].dims.n_antennas
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -571,6 +569,9 @@ def load_checkpoint(path) -> Checkpoint:
             raise ArtifactError(f"{path}: checkpoint holds no model")
         params_list = [read_params(fh) for _ in range(count)]
         (input_scale,) = struct.unpack("<d", read_exact(fh, 8))
+    if not 0.0 < input_scale < np.inf:
+        raise ArtifactError(f"{path}: input scale {input_scale!r} is not "
+                            "finite and positive")
     return Checkpoint(params_list=params_list, input_scale=input_scale)
 
 

@@ -469,7 +469,7 @@ class TestQuantizedForward:
             quantized_forward(self.params, np.full((4, 4), 1e-322 + 0j),
                               2.0, cfg)
         with pytest.raises(ValueError, match="shape"):
-            quantized_forward(self.params, self.h[None], 2.0, cfg)
+            quantized_forward(self.params, self.h[0], 2.0, cfg)
         with pytest.raises(ValueError, match="antenna"):
             quantized_forward(self.params, self.h[:, :3], 2.0, cfg)
 
@@ -508,7 +508,7 @@ class TestQuantizedForward:
 
 
 class TestQuantizedStack:
-    """quantized_forward_batch against one quantized_forward per graph."""
+    """quantized_forward on a stack against one call per graph."""
 
     def make(self, m, seed=77):
         dims = gnn.scaled_dims(4, 8)
@@ -532,7 +532,7 @@ class TestQuantizedStack:
                 h[1, 0] = 0.5 * h[0, 1]
                 for lay in params.layers:
                     lay.b[:] = rng.normal(scale=0.01, size=lay.b.shape)
-            w, report = accel.quantized_forward_batch(params, h, 1.5, cfg)
+            w, report = quantized_forward(params, h, 1.5, cfg)
             want = np.stack([np.stack([quantized_forward(params, h_k, 1.5,
                                                          cfg)[0]
                                        for h_k in h_b]) for h_b in h])
@@ -556,7 +556,7 @@ class TestQuantizedStack:
                 h[1, 1] = 0.5 * h[0, 0]
                 for lay in params.layers:
                     lay.b[:] = rng.normal(scale=1e-4, size=lay.b.shape)
-            w, _ = accel.quantized_forward_batch(params, h, 1.5, cfg)
+            w, _ = quantized_forward(params, h, 1.5, cfg)
             _, want = gnn._forward_group(params, h, 1.5,
                                          dense=int64_dense(bits, m))
             assert w.tobytes() == want.tobytes()
@@ -572,7 +572,7 @@ class TestQuantizedStack:
                 if (b, k) != (2, 1):
                     quantized_forward(params, h[b, k], 1.0, cfg)
         with pytest.raises(CapacityError, match="bias codes .* at in_fc1"):
-            accel.quantized_forward_batch(params, h, 1.0, cfg)
+            quantized_forward(params, h, 1.0, cfg)
 
 
 class TestFloatCodeDatapath:
@@ -588,8 +588,8 @@ class TestFloatCodeDatapath:
         h = rng.normal(size=(5, 2, 4, 4)) + 1j * rng.normal(size=(5, 2, 4, 4))
         h[1, 0] *= 1e-2
         h[3, 1] *= 1e2
-        w, _ = accel.quantized_forward_batch(params, h, 1.5,
-                                             AcceleratorConfig(bits=bits))
+        w, _ = quantized_forward(params, h, 1.5,
+                                 AcceleratorConfig(bits=bits))
         assert w.shape == h.shape and w.dtype == np.complex128
         assert hashlib.sha256(w.tobytes()).hexdigest() == BEAMS_SHA256[bits]
 
@@ -613,7 +613,7 @@ class TestFloatCodeDatapath:
         cfg = AcceleratorConfig(bits=bits)
         dense = int64_dense(bits, m)
         try:
-            w, _ = accel.quantized_forward_batch(params, h, 1.5, cfg)
+            w, _ = quantized_forward(params, h, 1.5, cfg)
         except CapacityError:
             # the int64 stage asserts the same bias and accumulator bounds
             with pytest.raises(AssertionError):
@@ -641,7 +641,7 @@ class TestFloatCodeDatapath:
         h = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
         h[1] = -0.0
         cfg = AcceleratorConfig(bits=bits)
-        w, _ = accel.quantized_forward_batch(params, h, 1.5, cfg)
+        w, _ = quantized_forward(params, h, 1.5, cfg)
         _, want = gnn._forward_group(params, h, 1.5,
                                      dense=int64_dense(bits, 4))
         assert w.tobytes() == want.tobytes()

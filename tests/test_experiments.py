@@ -257,9 +257,9 @@ class TestSchemes:
 def random_networks(k, n):
     """Untrained local (N antennas) and pooled (K*N antennas) networks."""
     return tuple(
-        experiments.GnnContext(gnn.init_params(
+        train.Checkpoint([gnn.init_params(
             gnn.scaled_dims(ant, 32),
-            np.random.Generator(np.random.Philox(ant))), 1.0)
+            np.random.Generator(np.random.Philox(ant)))], 1.0)
         for ant in (n, k * n))
 
 
@@ -595,6 +595,62 @@ class TestQuantCompare:
             experiments.run_quant_compare(micro["config"], str(empty))
 
 
+# two satellites, so a tied set serves a stack of them; one epoch
+QUANT_INI = MICRO_INI.replace("k_sats = 1", "k_sats = 2") \
+    .replace("epochs = 2", "epochs = 1")
+
+# SHA-256 of quant.csv (8 samples) for a tied QUANT_INI network, taken when
+# quant still ran its own fixed-point driver; the float pass's driver with
+# fixed-point layers must reproduce it byte for byte
+QUANT_CSV_SHA256 = \
+    "98ed4279f95fa315f92f6d4232cd2b60d9ff786c92e868c8f4df8629ffbd9507"
+
+
+def train_and_quant(tmp_path, text):
+    """(quant exit code, config, out dir) after `train` on the INI text."""
+    p = tmp_path / "c.ini"
+    p.write_text(text)
+    out = tmp_path / "out"
+    argv = ["--config", str(p), "--out", str(out)]
+    assert cli.main([*argv, "train"]) == 0
+    return cli.main([*argv, "quant", "--size", "8"]), load_config(str(p)), out
+
+
+class TestQuantDriver:
+    def test_tied_quant_csv_pinned(self, tmp_path):
+        rc, _, out = train_and_quant(tmp_path, QUANT_INI)
+        assert rc == 0
+        digest = hashlib.sha256((out / "quant.csv").read_bytes()).hexdigest()
+        assert digest == QUANT_CSV_SHA256
+
+    def test_untied_checkpoint(self, tmp_path):
+        rc, config, out = train_and_quant(tmp_path, QUANT_INI.replace(
+            "early_stop = false", "early_stop = false\ntied = false"))
+        assert rc == 0
+        ckpt = train.load_checkpoint(out / "model.ckpt")
+        sets = ckpt.params_list
+        assert len(sets) == 2
+        assert not np.array_equal(sets[0].layers[0].w, sets[1].layers[0].w)
+        h = experiments._sample_batch(config, 8, experiments._STREAM_QUANT)
+        sysp = config.system_params(input_scale=ckpt.input_scale)
+        cfg = config.accel_config(bits=8)
+        w = train.infer_batch(ckpt.params, h, sysp,
+                              accel.quantized_dense(cfg, config.m_users))
+        # satellite k's beams are those of its own set on its own channels
+        per_sat = [accel.quantized_forward(p, h[:, k] / ckpt.input_scale,
+                                           sysp.power, cfg)[0]
+                   for k, p in enumerate(sets)]
+        for k in range(2):
+            assert w[:, k].tobytes() == per_sat[k].tobytes()
+        # and quant.csv scores them
+        wsr = beamform.wsr(h, np.stack(per_sat, axis=1), sysp.sigma2,
+                           bandwidth=sysp.bandwidth,
+                           weights=np.asarray(config.weight_tuple))
+        rows = (out / "quant.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[2] for row in rows] \
+            == [repr(float(v)) for v in wsr.weighted_sum]
+
+
 class TestLatencyRunner:
     def test_totals_match_model(self, micro):
         config, out = micro["config"], micro["out"]
@@ -716,6 +772,48 @@ class TestCli:
             assert rc == 4, cut
             assert err.startswith("unreadable artifact: ")
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["eval", "quant"])
+    @pytest.mark.parametrize("damage", [
+        "nan-weight", "inf-bias", "scale-0", "scale-negative", "scale-nan",
+        "scale-inf"])
+    def test_non_finite_checkpoint_exits_4(self, micro, tmp_path, capsys,
+                                           command, damage):
+        ckpt = train.load_checkpoint(micro["ckpt"])
+        params, scale = ckpt.params, ckpt.input_scale
+        if damage == "nan-weight":
+            params.layers[3].w[1, 0] = np.nan
+        elif damage == "inf-bias":
+            params.layers[10].b[0] = -np.inf
+        else:
+            scale = {"scale-0": 0.0, "scale-negative": -scale,
+                     "scale-nan": np.nan, "scale-inf": np.inf}[damage]
+        out = tmp_path / "out"
+        out.mkdir()
+        train.save_checkpoint(out / "model.ckpt", params, input_scale=scale)
+        argv = {"eval": ["eval", "--schemes", "gnn", "--size", "2"],
+                "quant": ["quant", "--size", "2"]}[command]
+        rc = cli.main(["--config", micro["cfg_path"], "--out", str(out),
+                       *argv])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("unreadable artifact: ")
+        assert err.count("\n") == 1
+        assert os.listdir(out) == ["model.ckpt"]
+
+    @pytest.mark.parametrize("sigma2_dbm", ["4000", "-4000"])
+    def test_unusable_noise_power_is_2(self, tmp_path, capsys, sigma2_dbm):
+        # overflows a float, and underflows to 0 W
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[system]\nsigma2_dbm = {sigma2_dbm}\n")
+        out = tmp_path / "out"
+        rc = cli.main(["--config", str(p), "--out", str(out), "eval"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"config error: [system] sigma2_dbm = "
+                              f"{sigma2_dbm}.0 is out of range")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_quant_exit_zero(self, micro, capsys):
         rc = cli.main(["--config", micro["cfg_path"], "--out", micro["out"],

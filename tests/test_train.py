@@ -106,13 +106,15 @@ class TestGradients:
             assert np.all(dw == 0) and np.all(db == 0)
 
     def test_tied_gradient_is_sum_of_satellite_contributions(self):
+        # tied, the satellites run stacked through one set and their
+        # gradients accumulate; untied copies run one satellite each
         params = make_params(9)
         rng = np.random.default_rng(10)
         sysp = tiny_system(k=3)
         batch = tiny_batch(rng, k=3)
         full = train.gradients(params, batch, sysp)
-        parts = [train.gradients(params, batch, sysp, only_satellite=k)
-                 for k in range(3)]
+        parts = train.gradients([copy.deepcopy(params) for _ in range(3)],
+                                batch, sysp)
         for li in range(11):
             want_w = sum(p.layers[li][0] for p in parts)
             want_b = sum(p.layers[li][1] for p in parts)
@@ -122,18 +124,35 @@ class TestGradients:
                                        rtol=1e-10, atol=1e-15)
 
     def test_untied_copies_match_tied_per_satellite(self):
-        # untied sets run one satellite each, tied ones run stacked
+        # three identical untied copies run the tied network, and copy k's
+        # gradient is the derivative along satellite k's share of the set
         params = make_params(9)
         rng = np.random.default_rng(10)
         sysp = tiny_system(k=3)
         batch = tiny_batch(rng, k=3)
-        untied = train.gradients([copy.deepcopy(params) for _ in range(3)],
-                                 batch, sysp)
+        copies = [copy.deepcopy(params) for _ in range(3)]
+        assert train.batch_loss(copies, batch, sysp) == pytest.approx(
+            train.batch_loss(params, batch, sysp), rel=1e-12)
+        untied = train.gradients(copies, batch, sysp)
+        step = 1e-5
         for k in range(3):
-            part = train.gradients(params, batch, sysp, only_satellite=k)
-            for (dw, db), (pw, pb) in zip(untied[k].layers, part.layers):
-                np.testing.assert_allclose(dw, pw, rtol=1e-12, atol=1e-15)
-                np.testing.assert_allclose(db, pb, rtol=1e-12, atol=1e-15)
+            for li in (0, 3, 6, 10):
+                lay = copies[k].layers[li]
+                g = untied[k].layers[li]
+                for arr, garr in ((lay.w, g[0]), (lay.b, g[1])):
+                    idx = np.unravel_index(int(rng.integers(arr.size)),
+                                           arr.shape)
+                    orig = arr[idx]
+                    arr[idx] = orig + step
+                    lp = train.batch_loss(copies, batch, sysp)
+                    arr[idx] = orig - step
+                    lm = train.batch_loss(copies, batch, sysp)
+                    arr[idx] = orig
+                    fd = (lp - lm) / (2 * step)
+                    an = garr[idx]
+                    if abs(fd) > 1e-10 or abs(an) > 1e-10:
+                        assert (abs(fd - an) / max(abs(fd), abs(an))
+                                <= 1e-5)
 
     def test_dead_network_yields_zero_loss_not_nan(self):
         params = make_params(11)
