@@ -5,9 +5,10 @@ array computing exact integer GEMMs with a closed-form cycle count, a
 double-buffered latency model where each layer costs max(compute cycles,
 memory cycles), and a quantized end-to-end forward pass of the beamforming
 network: `gnn._forward_group` with each dense layer on the integer
-datapath, `quantized_dense`, which `train.infer_batch` takes as well.  One
-graph or any stack of them runs as one pass, each graph with its own
-activation scales.
+datapath, `quantized_dense`, which `experiments.compute_beams` takes as
+well.  One graph or any stack of them runs as one pass, each graph with its
+own activation scales, and records the latency model's own rows at the
+row counts it executed.
 
 The datapath holds codes in float64 from quantization to dequantization,
 with no integer dtype on the way.  Two private kernels serve it and the
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gnn import (GnnDims, GnnParams, FcLayer, LayerSpec, layer_plan,
-                  _counted, _forward_group)
+from .gnn import (GnnDims, GnnNumericError, GnnParams, FcLayer, LayerSpec,
+                  layer_plan, _counted, _forward_group)
 
 
 class CapacityError(RuntimeError):
@@ -333,9 +334,9 @@ class LatencyReport:
         return self.total_cycles * self.clock_period_ns * 1e-6
 
 
-def _layer_row(spec: LayerSpec, m_rows: int, cfg: AcceleratorConfig,
-               compute=None) -> LayerLatency:
-    """One layer serving m_rows rows; compute cycles default to the model's.
+def _layer_row(spec: LayerSpec, m_rows: int,
+               cfg: AcceleratorConfig) -> LayerLatency:
+    """One layer serving m_rows rows.
 
     Activations cross the bus only at the network input and final output.
     """
@@ -343,7 +344,7 @@ def _layer_row(spec: LayerSpec, m_rows: int, cfg: AcceleratorConfig,
                                   m_rows, stream_in=spec.name == "in_fc1",
                                   stream_out=spec.name == "out_fc")
     return LayerLatency(spec.name, spec.fan_in, spec.fan_out, cfg.bits,
-                        model if compute is None else compute, memory)
+                        model, memory)
 
 
 def _report(layers, cfg: AcceleratorConfig) -> LatencyReport:
@@ -378,7 +379,12 @@ def _q_dense(x: np.ndarray, layer: FcLayer, spec: LayerSpec, m: int,
     Until the dequantization every value is an integer below 2^53 held in
     float64, so each step is exact.
     """
-    a, a_scale = _codes(x, cfg.bits, rows=m)
+    try:
+        a, a_scale = _codes(x, cfg.bits, rows=m)
+    except ValueError as exc:
+        if np.isfinite(x).all():
+            raise  # a subnormal maximum: the scale underflows
+        raise GnnNumericError(f"{exc} entering {spec.name}") from exc
     w, w_scale = _codes(layer.w, cfg.bits)
     total = _code_product(a, w, cfg)
     sab = a_scale * w_scale
@@ -397,18 +403,17 @@ def _q_dense(x: np.ndarray, layer: FcLayer, spec: LayerSpec, m: int,
     if spec.relu:
         np.maximum(total, 0.0, out=total)
     graphs *= sab
-    return total, gemm_cycles(len(x), *w.shape, cfg)
+    return total
 
 
 def quantized_dense(cfg: AcceleratorConfig, m: int, executed=None):
     """The integer datapath as the dense layer of `gnn._forward_group`
     for graphs of m nodes, each with its own activation scales; with a
-    list `executed`, each layer appends its executed `LayerLatency`."""
+    list `executed`, each layer appends `_layer_row` at its executed rows."""
     def dense(x, layer, spec):
-        y, cycles = _q_dense(x, layer, spec, m, cfg)
         if executed is not None:
-            executed.append(_layer_row(spec, len(x), cfg, compute=cycles))
-        return y
+            executed.append(_layer_row(spec, len(x), cfg))
+        return _q_dense(x, layer, spec, m, cfg)
     return dense
 
 

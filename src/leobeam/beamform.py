@@ -99,37 +99,36 @@ def stream_gains(h, w) -> np.ndarray:
     return np.einsum("...kmn,...kin->...mi", hh.conj(), ww)
 
 
-def rate_terms(h, w, sigma2: float):
-    """Stream gains c, SINR and interference-plus-noise of every user.
+def rate_terms(h, w, sigma2: float, bandwidth: float):
+    """Stream gains c, SINR, interference-plus-noise and rate of every user.
 
-    The one SINR computation, shared by `wsr` and the training loss:
+    The one rate computation, shared by `wsr` and the training loss:
     SINR_m = |c[m,m]|^2 / (sum_{i != m} |c[m,i]|^2 + sigma2), with
-    |c|^2 taken as re^2 + im^2.  Returns c (..., M, M), sinr and
-    interference-plus-noise (..., M).
+    |c|^2 taken as re^2 + im^2, and R_m = bandwidth * log2(1 + SINR_m).
+    Returns c (..., M, M), then sinr, interference-plus-noise and the
+    rates (..., M).
     """
     c = stream_gains(h, w)
     p = c.real ** 2 + c.imag ** 2
     sig = np.einsum("...mm->...m", p)
     intf = p.sum(axis=-1) - sig + sigma2
-    return c, sig / intf, intf
+    sinr = sig / intf
+    return c, sinr, intf, bandwidth * np.log2(1.0 + sinr)
 
 
 def wsr(h, w, sigma2: float, bandwidth: float = 1.0,
         weights=None) -> RateReport:
-    """Per-user rates and their weighted sum, for each realization.
-
-    R_m = bandwidth * log2(1 + SINR_m), with SINR_m from `rate_terms`.
-    """
+    """Per-user rates and their weighted sum, for each realization; the
+    rates are those of `rate_terms`."""
     if sigma2 <= 0.0:
         raise ValueError("noise variance sigma2 must be > 0")
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be > 0")
-    _, sinr, _ = rate_terms(h, w, sigma2)
-    m = sinr.shape[-1]
+    rates = rate_terms(h, w, sigma2, bandwidth)[3]
+    m = rates.shape[-1]
     omega = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
     if omega.shape != (m,):
         raise ValueError(f"weights must have shape ({m},)")
-    rates = bandwidth * np.log2(1.0 + sinr)
     return RateReport(per_user_rates=rates, weighted_sum=rates @ omega)
 
 

@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: train, eval, sweep, quant, latency.  Exit codes: 0 success,
-2 configuration problem, 3 numeric failure, 4 missing or unreadable input
-artifact (absent, or a truncated or malformed checkpoint).  Each failure
-prints one line to stderr.
+2 configuration problem, 3 numeric failure (non-finite beams included),
+4 missing or unusable input artifact (absent, truncated, malformed, or
+fit for other antennas).  Each failure prints one line to stderr.
 """
 
 from __future__ import annotations

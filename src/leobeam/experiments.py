@@ -10,7 +10,9 @@ values that the channel, training or accelerator settings reject.
 
 All run_* entry points write CSV files whose first line is a comment carrying
 the artifact name and the config hash.  Floats are serialized with repr() so
-identical configs produce byte-identical artifacts.
+identical configs produce byte-identical artifacts.  `eval`, `sweep` and
+`quant` score every scheme's beams, networks' (float or fixed-point) and
+classical alike, one way: `compute_beams`, then `_rates_for_schemes`.
 """
 
 from __future__ import annotations
@@ -199,6 +201,12 @@ class ExperimentConfig:
         if len(self.phi_deg) not in (1, self.m_users):
             raise ConfigError("system.phi_deg must have 1 or m_users entries, "
                               f"got {len(self.phi_deg)}")
+        if not all(0.0 <= phi < 90.0 for phi in self.phi_deg):
+            raise ConfigError("[system] phi_deg entries must lie in [0, 90) "
+                              f"degrees, got {self.phi_deg}")
+        if not 0.0 < self.phi_3db_deg < 90.0:
+            raise ConfigError(f"[system] phi_3db_deg = {self.phi_3db_deg!r} "
+                              "must lie in (0, 90) degrees")
         if self.scale_factor < 1:
             raise ConfigError("gnn.scale_factor must be >= 1")
         for name in ("eval_size", "quant_size"):
@@ -375,15 +383,26 @@ def load_gnn_context(path: str) -> train.Checkpoint:
     return train.load_checkpoint(path)
 
 
+def _networks(config: ExperimentConfig, out_dir: str, names):
+    """(gnn_local's checkpoint, gnn_global's), None where `names` lacks
+    the scheme."""
+    local = config.checkpoint or os.path.join(out_dir, "model.ckpt")
+    pooled = os.path.join(out_dir, "model_pooled.ckpt")
+    return (load_gnn_context(local) if "gnn_local" in names else None,
+            load_gnn_context(pooled) if "gnn_global" in names else None)
+
+
 def compute_beams(scheme: str, h, per_sat_power, total_power,
                   sigma2: float, gnn_ctx: train.Checkpoint | None = None,
-                  gnn_ctx_global: train.Checkpoint | None = None):
+                  gnn_ctx_global: train.Checkpoint | None = None,
+                  dense=gnn._dense):
     """Return a BeamformerSet for a realization (K, M, N) or a stack of
     them (..., K, M, N); the beams have the channel's shape.
 
     The budgets may be 1-D vectors of P budgets each: the beams then gain a
     leading budget axis, (P, ..., K, M, N).  The classical schemes do their
-    budget-independent work once; the networks run once per budget.
+    budget-independent work once; the networks run once per budget, with
+    `dense` as their layer (float, or `accel.quantized_dense`).
     """
     if scheme == "mrt_local":
         return beamform.mrt_local(h, per_sat_power)
@@ -400,7 +419,7 @@ def compute_beams(scheme: str, h, per_sat_power, total_power,
     if beamform._is_vector(per_sat_power) or beamform._is_vector(total_power):
         per, tot = np.broadcast_arrays(per_sat_power, total_power)
         sets = [compute_beams(scheme, h, p, t, sigma2, gnn_ctx,
-                              gnn_ctx_global) for p, t in zip(per, tot)]
+                              gnn_ctx_global, dense) for p, t in zip(per, tot)]
         return beamform.BeamformerSet(
             w=np.stack([s.w for s in sets]), scope=sets[0].scope,
             power_budget=per if scheme == "gnn_local" else tot)
@@ -411,9 +430,14 @@ def compute_beams(scheme: str, h, per_sat_power, total_power,
             raise MissingArtifactError(
                 "scheme gnn_local needs a trained checkpoint; run "
                 "'leobeam train --config <file>' first")
+        if gnn_ctx.n_antennas != n:
+            raise MissingArtifactError(
+                f"checkpoint expects {gnn_ctx.n_antennas} antennas but each "
+                f"satellite has {n}; retrain")
         sys = train.SystemParams(k, m, n, power=per_sat_power, sigma2=sigma2,
                                  input_scale=gnn_ctx.input_scale)
-        w = train.infer_batch(gnn_ctx.params, h.reshape(-1, k, m, n), sys)
+        w = train.infer_batch(gnn_ctx.params, h.reshape(-1, k, m, n), sys,
+                              dense)
         return beamform.BeamformerSet(w=w.reshape(h.shape),
                                       power_budget=per_sat_power)
     ctx = gnn_ctx_global
@@ -429,7 +453,7 @@ def compute_beams(scheme: str, h, per_sat_power, total_power,
     sys = train.SystemParams(1, m, k * n, power=total_power, sigma2=sigma2,
                              input_scale=ctx.input_scale)
     pooled = beamform._stacked(h).swapaxes(-1, -2).reshape(-1, 1, m, k * n)
-    ws = train.infer_batch(ctx.params, pooled, sys)
+    ws = train.infer_batch(ctx.params, pooled, sys, dense)
     w = beamform._split(ws[:, 0].swapaxes(-1, -2), k, n)
     return beamform.BeamformerSet(w=w.reshape(h.shape),
                                   power_budget=total_power, scope="total")
@@ -490,16 +514,15 @@ def _sample_batch(config: ExperimentConfig, count: int, stream: int,
 
 
 def _rates_for_schemes(h_batch, schemes, per_sat_power, total_power, config,
-                       gnn_ctx=None, gnn_ctx_global=None):
-    """Evaluate schemes on a batch; returns {scheme: RateReport} whose
-    arrays run over the batch, after a leading budget axis when the budgets
-    are vectors."""
+                       gnn_ctx=None, gnn_ctx_global=None, dense=gnn._dense):
+    """Evaluate schemes on a batch, the networks with `dense` as their
+    layer; returns {scheme: RateReport} whose arrays run over the batch,
+    after a leading budget axis when the budgets are vectors."""
     wt = np.asarray(config.weight_tuple)
     out = {}
     for scheme in schemes:
         beams = compute_beams(scheme, h_batch, per_sat_power, total_power,
-                              config.sigma2, gnn_ctx=gnn_ctx,
-                              gnn_ctx_global=gnn_ctx_global)
+                              config.sigma2, gnn_ctx, gnn_ctx_global, dense)
         out[scheme] = beamform.wsr(np.broadcast_to(h_batch, beams.w.shape),
                                    beams.w, config.sigma2,
                                    bandwidth=config.bandwidth_hz, weights=wt)
@@ -517,16 +540,9 @@ def run_eval(config: ExperimentConfig, out_dir: str,
     names = [canonical_scheme(s) for s in (schemes or config.schemes)]
     count = _sample_count(size, config.eval_size)
     h_batch = _sample_batch(config, count, _STREAM_EVAL)
-    ctx = ctx_global = None
-    if "gnn_local" in names:
-        ctx = load_gnn_context(
-            config.checkpoint or os.path.join(out_dir, "model.ckpt"))
-    if "gnn_global" in names:
-        ctx_global = load_gnn_context(
-            os.path.join(out_dir, "model_pooled.ckpt"))
     per_sat, total = config.power, config.k_sats * config.power
     rates = _rates_for_schemes(h_batch, names, per_sat, total, config,
-                               gnn_ctx=ctx, gnn_ctx_global=ctx_global)
+                               *_networks(config, out_dir, names))
 
     cols = ["sample", "seed", "scheme", "k_sats", "m_users", "n_antennas",
             "p_dbw"] + [f"rate_{i + 1}_bps" for i in range(config.m_users)] \
@@ -619,14 +635,15 @@ def run_sweep(config: ExperimentConfig, out_dir: str, variable: str,
         raise ConfigError("gnn_global cannot be swept over k_sats: its "
                           "pooled checkpoint serves one satellite count")
     count = _sample_count(size, config.eval_size)
+    # (extra seed key, K, budgets) of each channel ensemble
     if variable == "p_dbw":
         points = [float(v) for v in values]
-        budgets = budget_for_policy(
+        ensembles = [(None, config.k_sats, budget_for_policy(
             policy, np.array([_check_budget(v, (config.k_sats,),
                                            config.m_users, config.sigma2,
                                            "[system] p_dbw sweep value")
                               for v in points]),
-            config.k_sats)
+            config.k_sats))]
     else:
         fractional = [v for v in values if not float(v).is_integer()]
         if fractional:
@@ -638,32 +655,19 @@ def run_sweep(config: ExperimentConfig, out_dir: str, variable: str,
                               f"got {min(points)}")
         _check_budget(config.p_dbw, points, config.m_users, config.sigma2,
                      "[system] p_dbw")
-        budgets = [budget_for_policy(policy, config.power, k)
-                   for k in points]
-
-    ctx = ctx_global = None
-    if "gnn_local" in names:
-        ctx = load_gnn_context(
-            config.checkpoint or os.path.join(out_dir, "model.ckpt"))
-    if "gnn_global" in names:
-        ctx_global = load_gnn_context(
-            os.path.join(out_dir, "model_pooled.ckpt"))
-
-    def evaluate(h_batch, per_sat, total):
-        rates = _rates_for_schemes(h_batch, names, per_sat, total, config,
-                                   gnn_ctx=ctx, gnn_ctx_global=ctx_global)
-        return {s: rep.weighted_sum for s, rep in rates.items()}
-
-    if variable == "p_dbw":
-        stacked = evaluate(_sample_batch(config, count, _STREAM_SWEEP),
-                           *budgets)
-        per_point = [{s: wsr[i] for s, wsr in stacked.items()}
-                     for i in range(len(points))]
-    else:
-        per_point = [evaluate(_sample_batch(config, count, _STREAM_SWEEP,
-                                            k_sats=k, extra_key=ki),
-                              *budgets[ki])
+        ensembles = [(ki, k, budget_for_policy(policy, config.power, k))
                      for ki, k in enumerate(points)]
+
+    networks = _networks(config, out_dir, names)
+    per_point = []  # {scheme: per-sample WSR} of each value, in order
+    for extra_key, k, (per_sat, total) in ensembles:
+        rates = _rates_for_schemes(
+            _sample_batch(config, count, _STREAM_SWEEP, k_sats=k,
+                          extra_key=extra_key),
+            names, per_sat, total, config, *networks)
+        # a budget vector gives one row per value, a scalar budget one
+        per_point += [dict(zip(names, wsr)) for wsr in zip(
+            *(rates[s].weighted_sum.reshape(-1, count) for s in names))]
 
     results = {s: [] for s in names}
     rows = []
@@ -697,29 +701,17 @@ def run_quant_compare(config: ExperimentConfig, out_dir: str, size=None):
     mean, "ratio8": ..., "ratio16": ...}.
     """
     count = _sample_count(size, config.quant_size)
-    ckpt_path = config.checkpoint or os.path.join(out_dir, "model.ckpt")
-    ctx = load_gnn_context(ckpt_path)
+    networks = _networks(config, out_dir, ["gnn_local"])
     h_batch = _sample_batch(config, count, _STREAM_QUANT)
-    n = config.n_antennas
-    if ctx.n_antennas != n:
-        raise MissingArtifactError(
-            f"checkpoint expects {ctx.n_antennas} antennas, config has {n}")
-    sys = config.system_params(input_scale=ctx.input_scale)
-    wt = np.asarray(config.weight_tuple)
-
-    def wsr_of(w):
-        return beamform.wsr(h_batch, w, sys.sigma2, bandwidth=sys.bandwidth,
-                            weights=wt).weighted_sum
-
-    def quant_wsr(bits):
-        # the float pass's driver with fixed-point layers, scales per graph
-        dense = accel.quantized_dense(config.accel_config(bits=bits),
-                                      config.m_users)
-        return wsr_of(train.infer_batch(ctx.params, h_batch, sys, dense))
-
-    float_wsr = wsr_of(train.infer_batch(ctx.params, h_batch, sys))
-    q8 = quant_wsr(8)
-    q16 = quant_wsr(16)
+    # float layers, then fixed-point ones with scales per graph
+    layers = [gnn._dense] + [
+        accel.quantized_dense(config.accel_config(bits=bits), config.m_users)
+        for bits in (8, 16)]
+    float_wsr, q8, q16 = (
+        _rates_for_schemes(h_batch, ["gnn_local"], config.power,
+                           config.k_sats * config.power, config, *networks,
+                           dense)["gnn_local"].weighted_sum
+        for dense in layers)
 
     rows = []
     for b in range(count):

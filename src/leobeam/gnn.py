@@ -391,7 +391,7 @@ def _forward_pairwise(params: GnnParams, h_k, power: float, counts=None):
 
 
 def _ensure_finite(arr: np.ndarray, stage: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise GnnNumericError(f"non-finite values after {stage}")
 
 

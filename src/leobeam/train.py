@@ -40,7 +40,8 @@ from . import channel
 from .beamform import BeamformerSet, rate_terms
 from .gnn import (ArtifactError, FcLayer, GnnParams, ZERO_POWER, atomic_write,
                   init_params, read_exact, read_params, scaled_dims,
-                  write_params, _dense, _forward_group, _power_scale)
+                  write_params, _dense, _ensure_finite, _forward_group,
+                  _power_scale)
 
 logger = logging.getLogger(__name__)
 
@@ -318,8 +319,7 @@ def _engine(params, batch, sys: SystemParams, want_grads: bool = True):
     b, _, m, _ = hs.shape
     sigma2 = sys.sigma2 / sys.input_scale ** 2
     weights = sys.weight_vector()
-    c, sinr, intf = rate_terms(hs, w, sigma2)
-    rates = sys.bandwidth * np.log2(1.0 + sinr)
+    c, sinr, intf, rates = rate_terms(hs, w, sigma2, sys.bandwidth)
     mean_wsr = float((rates @ weights).mean())
     if not want_grads:
         return -mean_wsr, mean_wsr, w, None
@@ -363,9 +363,11 @@ def infer_beamformers(params, realization, sys: SystemParams) -> BeamformerSet:
 
 
 def infer_batch(params, h, sys: SystemParams, dense=_dense) -> np.ndarray:
-    """Beamformers for a channel batch, shape (B, K, M, N); `dense` is the
-    layer, float by default or `accel.quantized_dense`."""
-    return _forward_beams(params, h, sys, keep=False, dense=dense)[1]
+    """Finite beamformers for a channel batch, shape (B, K, M, N), else
+    GnnNumericError; the layer `dense` is float or `accel.quantized_dense`."""
+    w = _forward_beams(params, h, sys, keep=False, dense=dense)[1]
+    _ensure_finite(w, "power normalization")
+    return w
 
 
 # --- optimizer -----------------------------------------------------------------

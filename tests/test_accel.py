@@ -472,6 +472,11 @@ class TestQuantizedForward:
             quantized_forward(self.params, self.h[0], 2.0, cfg)
         with pytest.raises(ValueError, match="antenna"):
             quantized_forward(self.params, self.h[:, :3], 2.0, cfg)
+        # non-finite activations are a numeric failure, named by layer
+        with pytest.raises(gnn.GnnNumericError,
+                           match="non-finite values entering in_fc1"):
+            quantized_forward(self.params, np.full((4, 4), np.inf + 0j),
+                              2.0, cfg)
 
     def test_bias_code_overflow_guard(self):
         params = gnn.init_params(self.dims,

@@ -112,6 +112,20 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="system.k_sats must be >= 1"):
             load_config(str(p))
 
+    @pytest.mark.parametrize("text,message", [
+        ("phi_3db_deg = 100", r"phi_3db_deg = 100.0 must lie in \(0, 90\) "
+         "degrees"),
+        ("phi_3db_deg = 0", r"phi_3db_deg = 0.0 must lie in \(0, 90\) "),
+        ("phi_deg = 95", r"phi_deg entries must lie in \[0, 90\) degrees, "
+         r"got \(95.0,\)"),
+        ("phi_deg = -1", r"phi_deg entries must lie in \[0, 90\) ")],
+        ids=["phi-3db-100", "phi-3db-0", "phi-95", "phi-negative"])
+    def test_beam_angles_name_key_in_degrees(self, tmp_path, text, message):
+        p = tmp_path / "c.ini"
+        p.write_text(f"[system]\n{text}\n")
+        with pytest.raises(ConfigError, match=r"^\[system\] " + message):
+            load_config(str(p))
+
     def test_weights_length_must_match_users(self, tmp_path):
         p = tmp_path / "c.ini"
         p.write_text("[system]\nweights = 1,2,3\n")
@@ -801,6 +815,53 @@ class TestCli:
         assert err.count("\n") == 1
         assert os.listdir(out) == ["model.ckpt"]
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--schemes", "gnn"],
+        ["sweep", "--variable", "p_dbw", "--values=0,5", "--schemes", "gnn"],
+        ["quant"]], ids=["eval", "sweep", "quant"])
+    def test_antenna_mismatch_exits_4(self, micro, tmp_path, capsys, argv):
+        # the micro checkpoint serves satellites of 2 antennas
+        p = tmp_path / "n4.ini"
+        p.write_text(MICRO_INI.replace("n_antennas = 2", "n_antennas = 4"))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "model.ckpt").write_bytes(open(micro["ckpt"], "rb").read())
+        rc = cli.main(["--config", str(p), "--out", str(out), *argv,
+                       "--size", "2"])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err == ("missing artifact: checkpoint expects 2 antennas but "
+                       "each satellite has 4; retrain\n")
+        assert os.listdir(out) == ["model.ckpt"]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["eval", "quant"])
+    @pytest.mark.parametrize("damage", ["scale-1e-310", "weights-1e100"])
+    def test_non_finite_network_exits_3(self, micro, tmp_path, capsys,
+                                        command, damage):
+        # a checkpoint that loads, but whose network overflows: h/s for a
+        # tiny input scale, or every activation for huge finite weights
+        ckpt = train.load_checkpoint(micro["ckpt"])
+        params, scale = ckpt.params, ckpt.input_scale
+        if damage == "scale-1e-310":
+            scale = 1e-310
+        else:
+            for layer in params.layers:
+                layer.w *= 1e100
+        out = tmp_path / "out"
+        out.mkdir()
+        train.save_checkpoint(out / "model.ckpt", params, input_scale=scale)
+        argv = {"eval": ["eval", "--schemes", "gnn", "--size", "2"],
+                "quant": ["quant", "--size", "2"]}[command]
+        rc = cli.main(["--config", micro["cfg_path"], "--out", str(out),
+                       *argv])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == ("numeric failure: non-finite values after power "
+                       "normalization\n")
+        assert os.listdir(out) == ["model.ckpt"]
+
     @pytest.mark.parametrize("sigma2_dbm", ["4000", "-4000"])
     def test_unusable_noise_power_is_2(self, tmp_path, capsys, sigma2_dbm):
         # overflows a float, and underflows to 0 W
@@ -834,6 +895,7 @@ class TestCli:
         ("train", "[train]\nbatch_size = 7\n"),
         ("eval", "[fading]\nm = 0.1\n"),
         ("eval", "[system]\nphi_3db_deg = 100\n"),
+        ("eval", "[system]\nphi_deg = 95\n"),
         ("eval", "[system]\np_dbw = nan\n"),
         ("eval", "[system]\nsigma2_dbm = inf\n"),
         # a zero divisor, and a power that overflows a float
