@@ -104,7 +104,8 @@ def rate_terms(h, w, sigma2: float, bandwidth: float):
 
     The one rate computation, shared by `wsr` and the training loss:
     SINR_m = |c[m,m]|^2 / (sum_{i != m} |c[m,i]|^2 + sigma2), with
-    |c|^2 taken as re^2 + im^2, and R_m = bandwidth * log2(1 + SINR_m).
+    |c|^2 taken as re^2 + im^2, and R_m = bandwidth * log2(1 + SINR_m),
+    formed as log1p(SINR_m) / log(2) so a low SINR keeps its digits.
     Returns c (..., M, M), then sinr, interference-plus-noise and the
     rates (..., M).
     """
@@ -113,7 +114,7 @@ def rate_terms(h, w, sigma2: float, bandwidth: float):
     sig = np.einsum("...mm->...m", p)
     intf = p.sum(axis=-1) - sig + sigma2
     sinr = sig / intf
-    return c, sinr, intf, bandwidth * np.log2(1.0 + sinr)
+    return c, sinr, intf, bandwidth * np.log1p(sinr) / np.log(2.0)
 
 
 def wsr(h, w, sigma2: float, bandwidth: float = 1.0,

@@ -327,10 +327,13 @@ def _forward_group(params: GnnParams, h, power: float, keep: bool = False,
 
 def _power_scale(y: np.ndarray, power: float):
     """(raw power, scale factor) of each trailing (M, N) matrix of y.  The
-    factor brings the matrix to `power`; it is 0 below ZERO_POWER."""
+    factor brings the matrix to `power`; it is 0 below ZERO_POWER, and NaN
+    where the raw power overflowed, so the beams fail the finite check
+    instead of becoming zero."""
     praw = np.sum(y.real ** 2 + y.imag ** 2, axis=(-2, -1))
     alpha = np.where(praw < ZERO_POWER, 0.0,
                      np.sqrt(power / np.maximum(praw, ZERO_POWER)))
+    alpha[praw == np.inf] = np.nan
     return praw, alpha
 
 

@@ -255,7 +255,12 @@ def _wsr_backward(h, c, sinr, intf, weights, bandwidth: float, batch: int):
     idx = np.arange(m)
     q[:, idx, idx] = gs / intf
     gc = 2.0 * q * c
-    return np.einsum("bmi,bkmn->bkin", gc, h)
+    # gw[b, k, i] = sum_m gc[b, m, i] h[b, k, m]: one matmul per sample over
+    # the channel stacked as (M, K*N)
+    _, k, _, n = h.shape
+    hm = np.swapaxes(h, 1, 2).reshape(batch, m, k * n)
+    gw = np.swapaxes(gc, 1, 2) @ hm
+    return np.swapaxes(gw.reshape(batch, m, k, n), 1, 2)
 
 
 # --- public loss / gradient API ------------------------------------------------

@@ -2,8 +2,10 @@
 
 The desk-scale training run takes a few minutes, so it is executed once per
 session and cached on disk keyed by the exact training config.  Training is
-deterministic for a fixed seed, so the cache only skips recomputation; set
-LEOBEAM_TEST_NO_CACHE=1 to force a fresh run.
+deterministic for a fixed seed and numerics stack, so the cache only skips
+recomputation: its JSON records `leobeam.NUMERICS`, the numpy version and the
+BLAS build, and any mismatch is a miss.  Set LEOBEAM_TEST_NO_CACHE=1 to force
+a fresh run.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+import leobeam
 from leobeam import beamform, channel, experiments, gnn, train
 
 CACHE_DIR = os.path.join(os.path.dirname(__file__), "_cache")
@@ -26,9 +29,21 @@ def desk_config() -> experiments.ExperimentConfig:
         os.path.join(_REPO_ROOT, "configs", "desk.ini"))
 
 
+def numerics_stamp() -> dict:
+    """What the cached numbers depend on besides the training config."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy without the dict form
+        blas_name = "unknown"
+    return {"numerics": leobeam.NUMERICS, "numpy": np.__version__,
+            "blas": blas_name}
+
+
 class DeskTraining(NamedTuple):
     result: train.TrainResult
     seconds: float  # wall-clock upper bound for the run that built the cache
+    ckpt_path: str
 
 
 @pytest.fixture(scope="session")
@@ -40,14 +55,16 @@ def desk_training() -> DeskTraining:
     key = hashlib.sha256(repr(tc).encode()).hexdigest()[:16]
     ckpt_path = os.path.join(CACHE_DIR, f"desk_{key}.ckpt")
     meta_path = os.path.join(CACHE_DIR, f"desk_{key}.json")
+    stamp = numerics_stamp()
     if (os.path.exists(ckpt_path) and os.path.exists(meta_path)
             and not os.environ.get("LEOBEAM_TEST_NO_CACHE")):
+        with open(meta_path) as fh:
+            meta = json.load(fh)
         try:
             ckpt = train.load_checkpoint(ckpt_path)
         except gnn.ArtifactError:
             ckpt = None  # an older checkpoint format or a damaged file
-        if ckpt is not None:
-            meta = json.load(open(meta_path))
+        if ckpt is not None and meta.get("stamp") == stamp:
             result = train.TrainResult(
                 params=ckpt.params,
                 history=[train.EpochStats(*row) for row in meta["history"]],
@@ -55,7 +72,7 @@ def desk_training() -> DeskTraining:
                 best_test_wsr=meta["best_test_wsr"],
                 stopped_early=meta["stopped_early"],
                 input_scale=ckpt.input_scale)
-            return DeskTraining(result, float(meta["seconds"]))
+            return DeskTraining(result, float(meta["seconds"]), ckpt_path)
     t0 = time.monotonic()
     result = train.train(tc)
     seconds = time.monotonic() - t0
@@ -68,8 +85,8 @@ def desk_training() -> DeskTraining:
                    "best_epoch": result.best_epoch,
                    "best_test_wsr": result.best_test_wsr,
                    "stopped_early": result.stopped_early,
-                   "seconds": seconds}, fh)
-    return DeskTraining(result, seconds)
+                   "seconds": seconds, "stamp": stamp}, fh)
+    return DeskTraining(result, seconds, ckpt_path)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,6 @@ than orderings it does not obey:
   power; the satellites are i.i.d., so the gain is at most K-fold in mean.
 """
 
-import hashlib
 import math
 import os
 import time
@@ -30,7 +29,6 @@ import time
 import numpy as np
 import pytest
 
-from conftest import CACHE_DIR, desk_config
 from leobeam import accel, beamform, channel, experiments, gnn, train
 
 _REPO_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -45,11 +43,8 @@ def report(capsys, num, ok, detail):
 @pytest.fixture(scope="session")
 def desk_ckpt(desk_training):
     """Path of the cached desk-scale checkpoint the fixture produced."""
-    tc = desk_config().train_config()
-    key = hashlib.sha256(repr(tc).encode()).hexdigest()[:16]
-    path = os.path.join(CACHE_DIR, f"desk_{key}.ckpt")
-    assert os.path.exists(path)
-    return path
+    assert os.path.exists(desk_training.ckpt_path)
+    return desk_training.ckpt_path
 
 
 def test_criterion_01_gradient_correctness(capsys):

@@ -8,7 +8,7 @@ import pytest
 from leobeam import channel
 
 # Frozen reference values, computed with 30-digit arbitrary-precision
-# arithmetic (independent of the scipy implementation under test).
+# arithmetic (independent of the implementation under test).
 J1_AT_1 = 0.44005058574493352
 J3_AT_2 = 0.12894324947440205
 GAIN_RATIO_001_04 = 0.9995811279424689   # b(0.01 deg)/b_max at 0.4 deg width
@@ -61,12 +61,15 @@ class TestBeamGain:
         assert g == pytest.approx(GAIN_RATIO_001_04, rel=1e-12)
 
     def test_series_branch_joins_bessel_branch(self):
-        phi3 = math.radians(0.4)
-        # angles straddling the u = 1e-3 branch switch
-        u_to_phi = lambda u: math.asin(u * math.sin(phi3) / 2.07123)
-        lo = channel.beam_gain(u_to_phi(0.999e-3), phi3, 1.0)
-        hi = channel.beam_gain(u_to_phi(1.001e-3), phi3, 1.0)
-        assert lo == pytest.approx(hi, rel=1e-9)
+        # the neighbouring floats on either side of each piece boundary:
+        # series | recurrence at u = 4, recurrence | asymptotic at u = 30
+        for edge in (channel.SERIES_MAX, channel.HANKEL_MIN):
+            u = np.array([np.nextafter(edge, 0.0), np.nextafter(edge, 9.0e9)])
+            lo, hi = channel._bracket(u)
+            assert lo == pytest.approx(hi, rel=1e-13, abs=1e-16)
+            for order in (1, 3):
+                lo, hi = channel.bessel_j(order, u)
+                assert abs(lo - hi) <= 1e-15
 
     def test_monotone_decay_in_main_lobe(self):
         phi3 = math.radians(0.4)

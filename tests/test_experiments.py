@@ -613,11 +613,12 @@ class TestQuantCompare:
 QUANT_INI = MICRO_INI.replace("k_sats = 1", "k_sats = 2") \
     .replace("epochs = 2", "epochs = 1")
 
-# SHA-256 of quant.csv (8 samples) for a tied QUANT_INI network, taken when
-# quant still ran its own fixed-point driver; the float pass's driver with
-# fixed-point layers must reproduce it byte for byte
+# SHA-256 of quant.csv (8 samples) for a tied QUANT_INI network.  Taken at
+# numerics revision 2 (leobeam.NUMERICS), which moved the channel and rate
+# bits; revision 1 gave
+# 98ed4279f95fa315f92f6d4232cd2b60d9ff786c92e868c8f4df8629ffbd9507
 QUANT_CSV_SHA256 = \
-    "98ed4279f95fa315f92f6d4232cd2b60d9ff786c92e868c8f4df8629ffbd9507"
+    "cc215f7fa2f5336255cbb6dbc7503155b63868c927c52022cad4580d20bddef4"
 
 
 def train_and_quant(tmp_path, text):
@@ -837,18 +838,22 @@ class TestCli:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("command", ["eval", "quant"])
-    @pytest.mark.parametrize("damage", ["scale-1e-310", "weights-1e100"])
+    @pytest.mark.parametrize("damage", ["scale-1e-310", "weights-1e100",
+                                        "weights-1e20"])
     def test_non_finite_network_exits_3(self, micro, tmp_path, capsys,
                                         command, damage):
         # a checkpoint that loads, but whose network overflows: h/s for a
-        # tiny input scale, or every activation for huge finite weights
+        # tiny input scale, every activation for huge finite weights, or
+        # only the beams' raw power (finite outputs near 1e220), which must
+        # not be normalized to all-zero beams
         ckpt = train.load_checkpoint(micro["ckpt"])
         params, scale = ckpt.params, ckpt.input_scale
         if damage == "scale-1e-310":
             scale = 1e-310
         else:
+            factor = {"weights-1e100": 1e100, "weights-1e20": 1e20}[damage]
             for layer in params.layers:
-                layer.w *= 1e100
+                layer.w *= factor
         out = tmp_path / "out"
         out.mkdir()
         train.save_checkpoint(out / "model.ckpt", params, input_scale=scale)

@@ -228,6 +228,19 @@ class TestLoop:
         for la, lb in zip(r1.params.layers, r2.params.layers):
             np.testing.assert_array_equal(la.w, lb.w)
 
+    def test_pinned_final_test_wsr(self):
+        # The determinism contract as a number: with the same seed, 3 epochs
+        # of a K = M = N = 2 scale-32 system end at this test WSR on any
+        # build.  Measured drift: 2.5e-16 relative across 1 or 2 BLAS
+        # threads, five forced OpenBLAS core types and numpy with AVX-512
+        # and AVX2 turned off, and 4e-16 across numerics revisions 1 and 2.
+        # The tolerance is 2,500 times the larger.
+        sysp = train.SystemParams(k_sats=2, m_users=2, n_antennas=2,
+                                  power=1.0, sigma2=1e-12, bandwidth=50e6)
+        res = train.train(quick_config(epochs=3, system=sysp))
+        assert res.history[-1].test_wsr == pytest.approx(
+            27581303.314033747, rel=1e-12)
+
     def test_learning_improves_test_wsr(self):
         res = train.train(quick_config(epochs=10))
         assert res.history[-1].test_wsr > res.history[0].test_wsr
