@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gnn import (GnnDims, GnnNumericError, GnnParams, FcLayer, LayerSpec,
-                  layer_plan, _counted, _forward_group)
+                  layer_plan, _forward_group)
 
 
 class CapacityError(RuntimeError):
@@ -101,14 +101,10 @@ class AcceleratorConfig:
 
 @dataclass
 class QuantizedTensor:
-    """Signed integer codes with a scale; value = code * scale.
-
-    A stack of row blocks carries a column of scales, one per row, equal
-    within each block.
-    """
+    """Signed integer codes with one scale; value = code * scale."""
 
     codes: np.ndarray
-    scale: float | np.ndarray
+    scale: float
 
     def __post_init__(self):
         if self.codes.dtype == np.int8:
@@ -117,7 +113,7 @@ class QuantizedTensor:
             self.bits = 16
         else:
             raise ValueError("codes must be int8 or int16")
-        if np.any(np.asarray(self.scale) <= 0):
+        if self.scale <= 0:
             raise ValueError("scale must be positive")
         # the dtype caps codes at +qmax; only its most negative value is out
         if self.codes.min(initial=0) < -(2 ** (self.bits - 1) - 1):
@@ -182,25 +178,13 @@ def _codes(x: np.ndarray, bits: int, rows: int | None = None):
                              qmax), scale
 
 
-def quantize(x: np.ndarray, bits: int,
-             rows: int | None = None) -> QuantizedTensor:
-    """Symmetric quantization with one scale per tensor, 1 if it is zero.
-
-    With `rows`, the 2-D x is a stack of blocks of that many rows, each
-    quantized as its own tensor; the scale is then a (len(x), 1) column.
-    """
+def quantize(x: np.ndarray, bits: int) -> QuantizedTensor:
+    """Symmetric quantization with one scale per tensor, 1 if it is zero."""
     if bits not in (8, 16):
         raise ValueError("bits must be 8 or 16")
-    codes, scale = _codes(x, bits, rows)
+    codes, scale = _codes(x, bits)
     dtype = np.int8 if bits == 8 else np.int16
-    return QuantizedTensor(
-        codes=codes.astype(dtype),
-        scale=float(scale) if rows is None
-        else scale.reshape(-1).repeat(rows)[:, None])
-
-
-def dequantize(q: QuantizedTensor) -> np.ndarray:
-    return q.codes.astype(float) * q.scale
+    return QuantizedTensor(codes=codes.astype(dtype), scale=float(scale))
 
 
 def gemm_cycles(m: int, k: int, n: int, cfg: AcceleratorConfig) -> int:
@@ -418,7 +402,7 @@ def quantized_dense(cfg: AcceleratorConfig, m: int, executed=None):
 
 
 def quantized_forward(params: GnnParams, h: np.ndarray, power: float,
-                      cfg: AcceleratorConfig, counts=None):
+                      cfg: AcceleratorConfig):
     """Fixed-point beams of one graph, h of shape (M, N), or of any
     (..., M, N) stack, plus the latency report of the executed products.
     Max aggregation, concatenation and power normalization stay in float,
@@ -429,6 +413,6 @@ def quantized_forward(params: GnnParams, h: np.ndarray, power: float,
     if h.ndim < 2:
         raise ValueError("channel must have shape (M, N) or (..., M, N)")
     executed = []
-    dense = _counted(quantized_dense(cfg, h.shape[-2], executed), counts)
-    _, w = _forward_group(params, h, power, dense=dense)
+    _, w = _forward_group(params, h, power,
+                          dense=quantized_dense(cfg, h.shape[-2], executed))
     return w, _report(executed, cfg)

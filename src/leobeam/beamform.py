@@ -8,12 +8,12 @@ coherently over satellites, c[m, i] = sum_k h[k, m]^H w[k, i].  Every
 function here works on one realization (K, M, N) or on a whole stack of
 them at once, and a stack gives each realization the bits it gets alone.
 
-Budget axis: the five schemes and `enforce_power` take either a scalar
-budget or a 1-D vector of P budgets.  A vector adds a new leading axis, so
-a stack (..., K, M, N) gives beams (P, ..., K, M, N), and the work that does
-not depend on the budget runs once for all of them: the zero-forcing rank
-check and pseudo-inverse, the Gram matrices of the regularized inversion,
-and the MRT and trace norms.  Only the normalization, and for MMSE the
+Budget axis: the five schemes take either a scalar budget or a 1-D vector
+of P budgets.  A vector adds a new leading axis, so a stack (..., K, M, N)
+gives beams (P, ..., K, M, N), and the work that does not depend on the
+budget runs once for all of them: the zero-forcing rank check and
+pseudo-inverse, the Gram matrices of the regularized inversion, and the
+MRT and trace norms.  Only the normalization, and for MMSE the
 regularized solve (one stacked LAPACK call), runs per budget.  Each budget
 gets the bits a scalar call with it gets.
 """
@@ -136,34 +136,14 @@ def wsr(h, w, sigma2: float, bandwidth: float = 1.0,
 _SCOPE_AXES = {"per_satellite": (-2, -1), "total": (-3, -2, -1)}
 
 
-def enforce_power(w, power, scope: str = "per_satellite") -> BeamformerSet:
-    """Rescale so the trace power meets the budget exactly.
-
-    per_satellite: each satellite block is scaled to power watts.
-    total:         each realization's whole tensor is scaled to power watts.
-    Blocks with raw power below ZERO_POWER stay identically zero.  A vector
-    of P budgets scales the same w to each, giving (P, ..., K, M, N).
-    """
-    ww = _tensor(w, "beamformer")
-    p = _budget(power, ww.ndim)
-    if _lowest(p) < 0.0:
-        raise ValueError("power budget must be >= 0")
-    if scope not in _SCOPE_AXES:
-        raise ValueError("scope must be 'per_satellite' or 'total'")
-    return BeamformerSet(w=_rescale(ww, p, scope), power_budget=power,
-                         scope=scope)
-
-
 def _rescale(ww: np.ndarray, p, scope: str) -> np.ndarray:
-    """ww scaled to budget p (a scalar, or (P, 1, ..., 1) budgets that
-    broadcast against ww) under the scope; dead blocks become zero."""
+    """ww scaled to budget p under the scope; dead blocks become zero.  p
+    is a scalar, or (P, 1, ..., 1) budgets for beams ww that lead with the
+    matching P axis."""
     out = ww.astype(complex)  # a copy in the layout of ww
     praw = np.sum(np.abs(out) ** 2, axis=_SCOPE_AXES[scope], keepdims=True)
     dead = praw < ZERO_POWER
-    scale = np.where(dead, 0.0, np.sqrt(p / np.where(dead, 1.0, praw)))
-    if scale.ndim > out.ndim:  # one tensor, P budgets: a new leading axis
-        out = np.repeat(out[None], len(scale), axis=0)
-    out *= scale
+    out *= np.where(dead, 0.0, np.sqrt(p / np.where(dead, 1.0, praw)))
     return out
 
 
@@ -288,14 +268,13 @@ def _split(w_stack: np.ndarray, k_sats: int, n_ant: int) -> np.ndarray:
         *lead, m_users, k_sats, n_ant).swapaxes(-3, -2)
 
 
-def zf_global(h, total_power,
-              normalization: str = "per_stream") -> BeamformerSet:
+def zf_global(h, total_power) -> BeamformerSet:
     """Zero forcing on the stacked NK-antenna system, total power budget."""
     hh = _tensor(h, "channel")
     k_sats, _, n_ant = hh.shape[-3:]
     mats = _stacked(hh)
     _check_rank(mats, local=False)
-    wt = _zf_normalize(_inverse_directions(mats), total_power, normalization)
+    wt = _zf_normalize(_inverse_directions(mats), total_power, "per_stream")
     return BeamformerSet(w=_split(wt, k_sats, n_ant),
                          power_budget=total_power, scope="total")
 

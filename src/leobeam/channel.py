@@ -50,7 +50,7 @@ class ChannelParams:
     d0           : satellite altitude above the coverage centre (m)
     carrier_freq : carrier frequency (Hz)
     b_max        : boresight antenna gain, linear
-    phi          : beam angle(s), rad; scalar applied to all UTs or one per UT
+    phi          : beam angles, rad, one per UT
     phi_3db      : 3 dB beamwidth angle, rad
     dh           : horizontal offset between beam centre and UT cluster (m)
     los_phase    : deterministic phase of the LOS component, rad
@@ -60,7 +60,7 @@ class ChannelParams:
     d0: float
     carrier_freq: float
     b_max: float
-    phi: float | tuple
+    phi: tuple
     phi_3db: float
     fading: FadingParams
     dh: float = 0.0
@@ -78,12 +78,7 @@ class ChannelParams:
             raise ValueError("b_max must be > 0")
         if not 0.0 < self.phi_3db < np.pi / 2:
             raise ValueError("phi_3db must lie in (0, pi/2)")
-        phi = self.phi
-        if isinstance(phi, (list, np.ndarray)):
-            object.__setattr__(self, "phi", tuple(float(p) for p in phi))
-            phi = self.phi
-        vals = phi if isinstance(phi, tuple) else (phi,)
-        for p in vals:
+        for p in self.phi:
             if not 0.0 <= p < np.pi / 2:
                 raise ValueError("beam angle phi must lie in [0, pi/2)")
 
@@ -253,19 +248,19 @@ def path_loss_coeff(d0: float, dh: float, carrier_freq: float) -> float:
 
 # --- fading draws -----------------------------------------------------------
 
-def sample_rayleigh_amplitude(b: float, rng: np.random.Generator, size=None):
+def sample_rayleigh_amplitude(b: float, rng: np.random.Generator, size):
     """Rayleigh amplitude with E[A^2] = 2b, via sqrt of an Exponential(2b)."""
     return np.sqrt(rng.exponential(2.0 * b, size=size))
 
 
 def sample_nakagami_amplitude(m: float, omega: float, rng: np.random.Generator,
-                              size=None):
+                              size):
     """Nakagami-m amplitude with E[Z^2] = omega, via sqrt of a Gamma draw."""
     return np.sqrt(rng.gamma(m, omega / m, size=size))
 
 
 def sample_shadowed_rician(fading: FadingParams, los_phase: float,
-                           rng: np.random.Generator, size=None,
+                           rng: np.random.Generator, size,
                            full_scatter_phase: bool = False):
     """Draw h_tilde = A exp(j psi) + Z exp(j los_phase).
 
@@ -279,24 +274,17 @@ def sample_shadowed_rician(fading: FadingParams, los_phase: float,
     hi = 2.0 * np.pi if full_scatter_phase else np.pi
     psi = rng.uniform(0.0, hi, size=size)
     los = sample_nakagami_amplitude(fading.m, fading.omega, rng, size)
-    h = amp * np.exp(1j * psi) + los * np.exp(1j * los_phase)
-    if size is None:
-        return complex(h)
-    return h
+    return amp * np.exp(1j * psi) + los * np.exp(1j * los_phase)
 
 
 def deterministic_amplitudes(params: ChannelParams, m_users: int) -> np.ndarray:
     """Per-UT deterministic amplitude C_L * sqrt(b(phi_m)), shape (M,)."""
     c_l = path_loss_coeff(params.d0, params.dh, params.carrier_freq)
-    phi = params.phi
-    if isinstance(phi, tuple):
-        if len(phi) != m_users:
-            raise ValueError(
-                f"per-UT phi list has {len(phi)} entries, expected {m_users}")
-        gains = beam_gain(np.array(phi), params.phi_3db, params.b_max)
-    else:
-        gains = np.full(m_users, beam_gain(phi, params.phi_3db, params.b_max))
-    return c_l * np.sqrt(gains)
+    if len(params.phi) != m_users:
+        raise ValueError(f"per-UT phi list has {len(params.phi)} entries, "
+                         f"expected {m_users}")
+    return c_l * np.sqrt(beam_gain(np.array(params.phi), params.phi_3db,
+                                   params.b_max))
 
 
 def sample_channel_batch(params: ChannelParams, count: int, k_sats: int,

@@ -1,9 +1,11 @@
 """Command line front end.
 
 Subcommands: train, eval, sweep, quant, latency.  Exit codes: 0 success,
-2 configuration problem, 3 numeric failure (non-finite beams included),
-4 missing or unusable input artifact (absent, truncated, malformed, or
-fit for other antennas).  Each failure prints one line to stderr.
+2 configuration problem, 3 numeric failure (non-finite beams, or a
+non-finite number bound for a CSV, included), 4 missing or unusable input
+artifact (absent, truncated, malformed, or fit for other antennas).  Each
+failure prints one line to stderr; `main` turns numpy's floating-point
+warnings off, since they would precede it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+
+import numpy as np
 
 from . import accel, beamform, experiments, gnn, train
 
@@ -87,6 +91,7 @@ def _parse_list(text, kind: str, flag: str):
     return experiments.parse_setting(text, f"tuple[{kind}, ...]", flag)
 
 
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(

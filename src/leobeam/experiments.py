@@ -10,9 +10,11 @@ values that the channel, training or accelerator settings reject.
 
 All run_* entry points write CSV files whose first line is a comment carrying
 the artifact name and the config hash.  Floats are serialized with repr() so
-identical configs produce byte-identical artifacts.  `eval`, `sweep` and
-`quant` score every scheme's beams, networks' (float or fixed-point) and
-classical alike, one way: `compute_beams`, then `_rates_for_schemes`.
+identical configs produce byte-identical artifacts; a non-finite one fails
+the command, and each runner builds every file before it writes the first,
+so a failure leaves none.  `eval`, `sweep` and `quant` score every scheme's
+beams, networks' (float or fixed-point) and classical alike, one way:
+`compute_beams`, then `_rates_for_schemes`.
 """
 
 from __future__ import annotations
@@ -375,6 +377,16 @@ def canonical_scheme(name: str) -> str:
     return resolved
 
 
+def _scheme_names(config: ExperimentConfig, schemes) -> list:
+    """Canonical names of `schemes`, else of [run] schemes; ConfigError on
+    an unknown name or on a scheme listed twice, aliases included."""
+    names = [canonical_scheme(s) for s in (schemes or config.schemes)]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"scheme {name} is listed more than once")
+    return names
+
+
 def load_gnn_context(path: str) -> train.Checkpoint:
     if not os.path.exists(path):
         raise MissingArtifactError(
@@ -483,18 +495,7 @@ def budget_for_policy(policy: str, per_sat_power: float, k_sats: int):
 
 def _artifact_header(kind: str, config: ExperimentConfig, extra: str = ""):
     tail = f" {extra}" if extra else ""
-    return f"# leobeam {kind} v1 config_hash={config.config_hash()}{tail}\n"
-
-
-def _write_rows(path, header_comment, columns, rows):
-    with gnn.atomic_write(path) as fh:
-        fh.write(header_comment)
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                repr(v) if isinstance(v, float) else str(v)
-                for v in row) + "\n")
-    return path
+    return f"# leobeam {kind} v1 config_hash={config.config_hash()}{tail}"
 
 
 def _sample_batch(config: ExperimentConfig, count: int, stream: int,
@@ -537,7 +538,7 @@ def run_eval(config: ExperimentConfig, out_dir: str,
     (mean and std of the weighted sum rate per scheme).  Returns the summary
     as {scheme: (mean, std)}.
     """
-    names = [canonical_scheme(s) for s in (schemes or config.schemes)]
+    names = _scheme_names(config, schemes)
     count = _sample_count(size, config.eval_size)
     h_batch = _sample_batch(config, count, _STREAM_EVAL)
     per_sat, total = config.power, config.k_sats * config.power
@@ -556,10 +557,6 @@ def run_eval(config: ExperimentConfig, out_dir: str,
                          float(config.p_dbw)]
                         + [float(r) for r in rep.per_user_rates[idx]]
                         + [float(rep.weighted_sum[idx])])
-    hdr = _artifact_header("eval", config,
-                           "units: rates b/s, power dBW")
-    _write_rows(os.path.join(out_dir, "eval.csv"), hdr, cols, rows)
-
     summary = {}
     srows = []
     for scheme in names:
@@ -567,11 +564,14 @@ def run_eval(config: ExperimentConfig, out_dir: str,
         summary[scheme] = (float(vals.mean()), float(vals.std()))
         srows.append([scheme, len(vals), float(vals.mean()),
                       float(vals.std())])
-    _write_rows(os.path.join(out_dir, "eval_summary.csv"),
-                _artifact_header("eval_summary", config,
-                                 "units: rates b/s"),
-                ["scheme", "n_samples", "mean_wsr_bps", "std_wsr_bps"],
-                srows)
+    gnn.write_files([
+        gnn.csv_file(os.path.join(out_dir, "eval.csv"), _artifact_header(
+            "eval", config, "units: rates b/s, power dBW"), cols, rows),
+        gnn.csv_file(os.path.join(out_dir, "eval_summary.csv"),
+                     _artifact_header("eval_summary", config,
+                                      "units: rates b/s"),
+                     ["scheme", "n_samples", "mean_wsr_bps", "std_wsr_bps"],
+                     srows)])
     return summary
 
 
@@ -621,7 +621,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str, variable: str,
                           "known: p_dbw, k_sats")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    names = [canonical_scheme(s) for s in (schemes or config.schemes)]
+    names = _scheme_names(config, schemes)
     if policy == "pooled":
         kept = [s for s in names if s in GLOBAL_SCHEMES]
         dropped = sorted(set(names) - set(kept))
@@ -681,15 +681,16 @@ def run_sweep(config: ExperimentConfig, out_dir: str, variable: str,
     hdr = _artifact_header("sweep", config,
                            f"variable={variable} policy={policy} "
                            "units: rates b/s")
-    _write_rows(os.path.join(out_dir, "sweep.csv"), hdr,
-                ["variable", "value", "policy", "scheme", "n_samples",
-                 "mean_wsr_bps", "std_wsr_bps"], rows)
     series = [(s, [v for v, _ in results[s]], [w for _, w in results[s]])
               for s in names]
-    svg = svgplot.line_plot(series, title=f"WSR vs {variable} ({policy})",
-                            xlabel=variable, ylabel="mean WSR (b/s)")
-    with gnn.atomic_write(os.path.join(out_dir, "sweep.svg")) as fh:
-        fh.write(svg)
+    # the CSV's finite check comes first: the plot needs finite means
+    gnn.write_files([
+        gnn.csv_file(os.path.join(out_dir, "sweep.csv"), hdr,
+                     ["variable", "value", "policy", "scheme", "n_samples",
+                      "mean_wsr_bps", "std_wsr_bps"], rows),
+        (os.path.join(out_dir, "sweep.svg"), svgplot.line_plot(
+            series, title=f"WSR vs {variable} ({policy})", xlabel=variable,
+            ylabel="mean WSR (b/s)"))])
     return results
 
 
@@ -718,11 +719,6 @@ def run_quant_compare(config: ExperimentConfig, out_dir: str, size=None):
         rows.append([b, float(float_wsr[b]), float(q8[b]), float(q16[b]),
                      float(q8[b] / float_wsr[b]),
                      float(q16[b] / float_wsr[b])])
-    hdr = _artifact_header("quant", config, "units: rates b/s")
-    _write_rows(os.path.join(out_dir, "quant.csv"), hdr,
-                ["sample", "float_wsr_bps", "int8_wsr_bps", "int16_wsr_bps",
-                 "int8_ratio", "int16_ratio"], rows)
-
     summary = {
         "float": float(float_wsr.mean()),
         "int8": float(q8.mean()),
@@ -730,10 +726,15 @@ def run_quant_compare(config: ExperimentConfig, out_dir: str, size=None):
         "ratio8": float(q8.mean() / float_wsr.mean()),
         "ratio16": float(q16.mean() / float_wsr.mean()),
     }
-    _write_rows(os.path.join(out_dir, "quant_summary.csv"),
-                _artifact_header("quant_summary", config),
-                ["metric", "value"],
-                [[key, val] for key, val in summary.items()])
+    gnn.write_files([
+        gnn.csv_file(os.path.join(out_dir, "quant.csv"),
+                     _artifact_header("quant", config, "units: rates b/s"),
+                     ["sample", "float_wsr_bps", "int8_wsr_bps",
+                      "int16_wsr_bps", "int8_ratio", "int16_ratio"], rows),
+        gnn.csv_file(os.path.join(out_dir, "quant_summary.csv"),
+                     _artifact_header("quant_summary", config),
+                     ["metric", "value"],
+                     [[key, val] for key, val in summary.items()])])
     return summary
 
 
@@ -774,19 +775,19 @@ def run_latency(config: ExperimentConfig, out_dir: str, m_list=None,
         "latency", config,
         f"clock_period_ns={config.clock_period_ns!r} "
         "ref_*_ms columns are external reference points, not assertions")
-    _write_rows(os.path.join(out_dir, "latency.csv"), hdr,
-                ["bits", "m_users", "total_cycles", "total_ms",
-                 "ref_lo_ms", "ref_hi_ms"], rows)
-    _write_rows(os.path.join(out_dir, "latency_layers.csv"),
-                _artifact_header("latency_layers", config),
-                ["bits", "m_users", "layer", "rows", "cols",
-                 "compute_cycles", "memory_cycles", "effective_cycles",
-                 "bound"], lrows)
+    gnn.write_files([
+        gnn.csv_file(os.path.join(out_dir, "latency.csv"), hdr,
+                     ["bits", "m_users", "total_cycles", "total_ms",
+                      "ref_lo_ms", "ref_hi_ms"], rows),
+        gnn.csv_file(os.path.join(out_dir, "latency_layers.csv"),
+                     _artifact_header("latency_layers", config),
+                     ["bits", "m_users", "layer", "rows", "cols",
+                      "compute_cycles", "memory_cycles", "effective_cycles",
+                      "bound"], lrows)])
     return totals
 
 
-def run_train(config: ExperimentConfig, out_dir: str, progress=None,
-              pooled: bool = False):
+def run_train(config: ExperimentConfig, out_dir: str, pooled: bool = False):
     """Train a network and write model.ckpt plus history.csv.
 
     With pooled=True the K satellites are stacked into one transmitter with
@@ -801,13 +802,14 @@ def run_train(config: ExperimentConfig, out_dir: str, progress=None,
             sys, k_sats=1, n_antennas=sys.k_sats * sys.n_antennas,
             power=sys.k_sats * sys.power))
         name = "model_pooled.ckpt"
-    result = train.train(cfg, progress=progress)
-    ckpt_path = os.path.join(out_dir, name)
-    train.save_checkpoint(ckpt_path, result.params,
-                          input_scale=result.input_scale)
+    result = train.train(cfg)
+    # the history first: a non-finite rate in it leaves no checkpoint
     hist_path = os.path.join(out_dir,
                              "history_pooled.csv" if pooled
                              else "history.csv")
     train.write_history_csv(hist_path, result.history,
                             config_hash=config.config_hash())
+    ckpt_path = os.path.join(out_dir, name)
+    train.save_checkpoint(ckpt_path, result.params,
+                          input_scale=result.input_scale)
     return result, ckpt_path

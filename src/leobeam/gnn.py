@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-ZERO_POWER = 1e-30
+from .beamform import ZERO_POWER
 
 _PARAMS_MAGIC = b"LEOGNNP1"
 _F8_TAG = 1
@@ -503,6 +504,30 @@ def atomic_write(path, mode: str = "w"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def csv_file(path, comment: str, columns, rows) -> tuple:
+    """(path, text) of a CSV artifact: the comment line, the column names,
+    then one line per row, floats written with repr so equal runs write
+    equal bytes.  A non-finite float raises GnnNumericError naming its
+    column, so no artifact holds one."""
+    lines = [comment, ",".join(columns)]
+    for row in rows:
+        for column, v in zip(columns, row):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise GnnNumericError(f"non-finite {column} = {v!r} bound "
+                                      f"for {os.path.basename(path)}")
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in row))
+    return path, "\n".join(lines) + "\n"
+
+
+def write_files(files) -> None:
+    """Writes each (path, text) pair through `atomic_write`, in order.
+    Build every text first: a failure then leaves no file of the set."""
+    for path, text in files:
+        with atomic_write(path) as fh:
+            fh.write(text)
 
 
 # --- parameter container ------------------------------------------------------

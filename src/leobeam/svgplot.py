@@ -11,15 +11,17 @@ import math
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
+_WIDTH, _HEIGHT = 640, 420      # pixels
+_TICKS = 5                      # at most this many tick intervals per axis
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10 ** math.floor(math.log10(span / n))
+    step = 10 ** math.floor(math.log10(span / _TICKS))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= _TICKS:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -35,11 +37,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def line_plot(series, title: str = "", xlabel: str = "", ylabel: str = "",
-              width: int = 640, height: int = 420) -> str:
+def line_plot(series, title: str = "", xlabel: str = "",
+              ylabel: str = "") -> str:
     """series: list of (label, xs, ys) triples with equal-length arrays."""
     ml, mr, mt, mb = 70, 20, 34, 48
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
@@ -59,13 +61,13 @@ def line_plot(series, title: str = "", xlabel: str = "", ylabel: str = "",
     def py(y):
         return mt + ph - (y - y0) / (y1 - y0) * ph
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+             f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+             f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
              f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
              'fill="none" stroke="#333" stroke-width="1"/>']
     if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="20" font-size="14" '
+        parts.append(f'<text x="{_WIDTH / 2:.1f}" y="20" font-size="14" '
                      f'text-anchor="middle" font-family="sans-serif">'
                      f'{title}</text>')
     for t in _ticks(x0, x1):
@@ -84,7 +86,7 @@ def line_plot(series, title: str = "", xlabel: str = "", ylabel: str = "",
                          'text-anchor="end" dominant-baseline="middle" '
                          f'font-family="sans-serif">{_fmt(t)}</text>')
     if xlabel:
-        parts.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" '
+        parts.append(f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 10}" '
                      'font-size="12" text-anchor="middle" '
                      f'font-family="sans-serif">{xlabel}</text>')
     if ylabel:

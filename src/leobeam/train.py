@@ -32,16 +32,16 @@ import dataclasses
 import logging
 import struct
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import channel
-from .beamform import BeamformerSet, rate_terms
-from .gnn import (ArtifactError, FcLayer, GnnParams, ZERO_POWER, atomic_write,
+from .beamform import ZERO_POWER, BeamformerSet, rate_terms
+from .gnn import (ArtifactError, FcLayer, GnnParams, atomic_write, csv_file,
                   init_params, read_exact, read_params, scaled_dims,
-                  write_params, _dense, _ensure_finite, _forward_group,
-                  _power_scale)
+                  write_files, write_params, _dense, _ensure_finite,
+                  _forward_group, _power_scale)
 
 logger = logging.getLogger(__name__)
 
@@ -52,10 +52,9 @@ _OLD_CKPT_MAGIC = b"LEOCKPT1"   # with Adam moments and an RNG trailer
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite; carries the last good parameters."""
 
-    def __init__(self, message, params=None, step: int = 0):
+    def __init__(self, message, params=None):
         super().__init__(message)
         self.params = params
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -277,16 +276,6 @@ def _zero_grads(params: GnnParams) -> GradientSet:
                         for l in params.layers])
 
 
-def _as_batch(batch) -> np.ndarray:
-    """A channel batch (B, K, M, N); one realization (K, M, N) gets B = 1."""
-    batch = np.asarray(batch)
-    if batch.ndim == 3:
-        return batch[None]
-    if batch.ndim != 4:
-        raise ValueError("channel batch must have shape (B, K, M, N)")
-    return batch
-
-
 def _params_list(params) -> list:
     return list(params) if isinstance(params, (list, tuple)) else [params]
 
@@ -298,7 +287,9 @@ def _forward_beams(params, batch, sys: SystemParams, keep: bool,
     assigns satellites to sets: set i of P serves satellites i, i + P, ...,
     which run stacked through one pass with `dense` as the layer."""
     params_list = _params_list(params)
-    h = _as_batch(batch)
+    h = np.asarray(batch)
+    if h.ndim != 4:
+        raise ValueError("channel batch must have shape (B, K, M, N)")
     _, k, m, n = h.shape
     if (k, m, n) != (sys.k_sats, sys.m_users, sys.n_antennas):
         raise ValueError(f"channel shape {(k, m, n)} does not match system "
@@ -319,7 +310,7 @@ def _forward_beams(params, batch, sys: SystemParams, keep: bool,
 
 
 def _engine(params, batch, sys: SystemParams, want_grads: bool = True):
-    """Loss, mean WSR, beams and (if wanted) gradients for a channel batch."""
+    """Mean WSR (the loss is its negative) and, if wanted, gradients."""
     hs, w, groups = _forward_beams(params, batch, sys, want_grads)
     b, _, m, _ = hs.shape
     sigma2 = sys.sigma2 / sys.input_scale ** 2
@@ -327,7 +318,7 @@ def _engine(params, batch, sys: SystemParams, want_grads: bool = True):
     c, sinr, intf, rates = rate_terms(hs, w, sigma2, sys.bandwidth)
     mean_wsr = float((rates @ weights).mean())
     if not want_grads:
-        return -mean_wsr, mean_wsr, w, None
+        return mean_wsr, None
 
     gw = _wsr_backward(hs, c, sinr, intf, weights, sys.bandwidth, b)
     grads = [_zero_grads(p) for p in _params_list(params)]
@@ -338,13 +329,12 @@ def _engine(params, batch, sys: SystemParams, want_grads: bool = True):
         _backward_group(p, cache, gs, sys.power, blocks, g)
     if not isinstance(params, (list, tuple)):
         grads = grads[0]
-    return -mean_wsr, mean_wsr, w, grads
+    return mean_wsr, grads
 
 
 def batch_loss(params, batch, sys: SystemParams) -> float:
     """Negative mean weighted sum rate over the batch."""
-    loss, _, _, _ = _engine(params, batch, sys, want_grads=False)
-    return loss
+    return -_engine(params, batch, sys, want_grads=False)[0]
 
 
 def gradients(params, batch, sys: SystemParams):
@@ -353,8 +343,7 @@ def gradients(params, batch, sys: SystemParams):
     With tied (single) params the gradients of all satellite passes
     accumulate into one GradientSet.
     """
-    _, _, _, grads = _engine(params, batch, sys)
-    return grads
+    return _engine(params, batch, sys)[1]
 
 
 def infer_beamformers(params, realization, sys: SystemParams) -> BeamformerSet:
@@ -434,8 +423,7 @@ class TrainResult:
     input_scale: float
 
 
-def train(cfg: TrainConfig,
-          progress: Callable[[EpochStats], None] | None = None) -> TrainResult:
+def train(cfg: TrainConfig) -> TrainResult:
     """Full training run; returns the best-on-test parameters.
 
     Draw discipline: the seed is split into three independent streams for
@@ -484,12 +472,11 @@ def train(cfg: TrainConfig,
                 cfg.chan, cfg.batch_size, sys.k_sats, sys.m_users,
                 sys.n_antennas, rng_train)
             lr = lr_at(step, cfg.lr0, cfg.lr_decay, cfg.lr_decay_every)
-            loss, mean_wsr, _, grads = _engine(params_list, h, sys)
-            if not np.isfinite(loss):
+            mean_wsr, grads = _engine(params_list, h, sys)
+            if not np.isfinite(mean_wsr):
                 raise TrainingDivergedError(
                     f"loss became non-finite at step {step}",
-                    params=best_params[0] if cfg.tied else best_params,
-                    step=step)
+                    params=best_params[0] if cfg.tied else best_params)
             for i in range(n_models):
                 params_list[i], states[i] = adam_step(
                     params_list[i], grads[i], states[i], lr,
@@ -497,17 +484,12 @@ def train(cfg: TrainConfig,
             wsr_sum += mean_wsr
             step += 1
         train_wsr = wsr_sum / steps_per_epoch
-        _, test_wsr, _, _ = _engine(params_list, h_test, sys,
-                                    want_grads=False)
+        test_wsr, _ = _engine(params_list, h_test, sys, want_grads=False)
         if not np.isfinite(test_wsr):
             raise TrainingDivergedError(
                 f"test evaluation non-finite after epoch {epoch}",
-                params=best_params[0] if cfg.tied else best_params,
-                step=step)
-        stats = EpochStats(epoch, lr, train_wsr, test_wsr)
-        history.append(stats)
-        if progress is not None:
-            progress(stats)
+                params=best_params[0] if cfg.tied else best_params)
+        history.append(EpochStats(epoch, lr, train_wsr, test_wsr))
         logger.info("epoch %d lr %.3g train %.6g test %.6g",
                     epoch, lr, train_wsr, test_wsr)
 
@@ -535,7 +517,7 @@ def train(cfg: TrainConfig,
 # nothing resumes training from it.
 
 
-def save_checkpoint(path, params, input_scale: float = 1.0) -> None:
+def save_checkpoint(path, params, input_scale: float) -> None:
     params_list = _params_list(params)
     with atomic_write(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
@@ -582,12 +564,8 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(params_list=params_list, input_scale=input_scale)
 
 
-def write_history_csv(path, history, config_hash: str = "") -> None:
-    lines = [f"# leobeam history v1 config_hash={config_hash} "
-             "units: lr dimensionless, wsr bits/s",
-             "epoch,lr,train_wsr,test_wsr"]
-    for e in history:
-        lines.append(f"{e.epoch},{repr(e.lr)},{repr(e.train_wsr)},"
-                     f"{repr(e.test_wsr)}")
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_history_csv(path, history, config_hash: str) -> None:
+    """history.csv of the EpochStats rows, written by `gnn.csv_file`."""
+    write_files([csv_file(path, f"# leobeam history v1 config_hash="
+                          f"{config_hash} units: lr dimensionless, wsr "
+                          "bits/s", EpochStats._fields, history)])

@@ -97,10 +97,12 @@ class TestWsr:
 
 
 class TestEnforcePower:
+    """Exact budgets from `beamform._rescale`, the rescale MMSE ends with."""
+
     def test_per_satellite_budget(self):
         rng = np.random.default_rng(40)
         w = rand_channel(rng, k=3, m=2, n=4)
-        out = beamform.enforce_power(w, 2.5, scope="per_satellite").w
+        out = beamform._rescale(w, 2.5, "per_satellite")
         for k in range(3):
             assert np.sum(np.abs(out[k]) ** 2) == pytest.approx(2.5,
                                                                 rel=1e-12)
@@ -108,19 +110,13 @@ class TestEnforcePower:
     def test_total_budget(self):
         rng = np.random.default_rng(41)
         w = rand_channel(rng, k=3, m=2, n=4)
-        out = beamform.enforce_power(w, 2.5, scope="total")
-        assert out.scope == "total"
-        assert np.sum(np.abs(out.w) ** 2) == pytest.approx(2.5, rel=1e-12)
+        out = beamform._rescale(w, 2.5, "total")
+        assert np.sum(np.abs(out) ** 2) == pytest.approx(2.5, rel=1e-12)
 
     def test_zero_input_stays_zero(self):
-        out = beamform.enforce_power(np.zeros((2, 2, 2), dtype=complex), 1.0,
-                                     scope="per_satellite")
-        assert np.all(out.w == 0)
-
-    def test_bad_scope_rejected(self):
-        with pytest.raises(ValueError):
-            beamform.enforce_power(np.ones((1, 1, 1), dtype=complex), 1.0,
-                                   scope="galactic")
+        out = beamform._rescale(np.zeros((2, 2, 2), dtype=complex), 1.0,
+                                "per_satellite")
+        assert np.all(out == 0)
 
 
 class TestMrt:

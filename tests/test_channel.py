@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from leobeam import channel
+from leobeam.experiments import ExperimentConfig
 
 # Frozen reference values, computed with 30-digit arbitrary-precision
 # arithmetic (independent of the implementation under test).
@@ -190,9 +191,8 @@ class TestChannelTensor:
         assert amps[0] == pytest.approx(cl * math.sqrt(p.b_max), rel=1e-12)
 
     def test_scalar_phi_broadcasts(self):
-        p = channel.ChannelParams(
-            d0=600e3, carrier_freq=20e9, b_max=1.0,
-            phi=math.radians(0.01), phi_3db=math.radians(0.4),
-            fading=FADING)
+        # one configured angle serves every user
+        p = ExperimentConfig(m_users=3, phi_deg=(0.01,)).channel_params()
+        assert p.phi == (math.radians(0.01),) * 3
         amps = channel.deterministic_amplitudes(p, 3)
         assert np.allclose(amps, amps[0])

@@ -5,6 +5,8 @@ import dataclasses
 import hashlib
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -382,16 +384,11 @@ class TestBudgetAxis:
         watts = np.array([dbw_to_watts(v) for v in p_dbw])
         per_sat, total = budget_for_policy(policy, watts, k)
         assert_budget_axis_bytes(h, per_sat, total, sigma2, CLASSICAL)
-        # the trace-normalized ZF and enforce_power take the axis as well
-        for got, one in (
-                (beamform.zf_local(h, per_sat, normalization="trace"),
-                 lambda p: beamform.zf_local(h, p, normalization="trace")),
-                (beamform.enforce_power(h, total, scope="total"),
-                 lambda p: beamform.enforce_power(h, p, scope="total")),
-                (beamform.enforce_power(h, per_sat),
-                 lambda p: beamform.enforce_power(h, p))):
-            for i, p in enumerate(got.power_budget):
-                assert got.w[i].tobytes() == one(float(p)).w.tobytes()
+        # the trace-normalized ZF takes the axis as well
+        got = beamform.zf_local(h, per_sat, normalization="trace")
+        for i, p in enumerate(got.power_budget):
+            one = beamform.zf_local(h, float(p), normalization="trace")
+            assert got.w[i].tobytes() == one.w.tobytes()
 
     def test_scalar_budget_keeps_shape(self):
         h = random_stack(np.random.default_rng(5), 3, 2, 2, 2)
@@ -409,7 +406,9 @@ class TestBudgetAxis:
         mrt = beamform.mrt_local(h, budgets).w
         assert np.all(mrt[:, 1, 0, 2] == 0) and np.all(mrt[:, 0, 1] == 0)
         assert np.all(mrt[:, 1, 0, :2] != 0)
-        scaled = beamform.enforce_power(h, budgets).w
+        scaled = beamform._rescale(np.stack([h, h]),
+                                   beamform._budget(budgets, h.ndim),
+                                   "per_satellite")
         assert np.all(scaled[:, 0, 1] == 0) and np.all(scaled[:, 1, 1] != 0)
 
     def test_bad_budget_vectors_rejected(self):
@@ -419,8 +418,6 @@ class TestBudgetAxis:
                 beamform.mrt_local(h, bad)
         with pytest.raises(ValueError, match="power > 0"):
             beamform.mmse_local(h, [1.0, 0.0], 0.1)
-        with pytest.raises(ValueError, match=">= 0"):
-            beamform.enforce_power(h, [1.0, -1.0])
         with pytest.raises(ValueError, match="shape \\(P,\\)"):
             beamform.BeamformerSet(w=np.ones((2, 1, 2, 2)),
                                    power_budget=np.ones(3))
@@ -429,14 +426,18 @@ class TestBudgetAxis:
 class TestAtomicArtifacts:
     def test_failed_rows_keep_the_old_csv(self, tmp_path):
         path = tmp_path / "eval.csv"
-        experiments._write_rows(path, "# old\n", ["a"], [[1.0]])
+        gnn.write_files([gnn.csv_file(path, "# old", ["a"], [[1.0]])])
         old = path.read_bytes()
 
         def rows():
             yield [2.0]
             raise RuntimeError("writer died midway")
         with pytest.raises(RuntimeError, match="midway"):
-            experiments._write_rows(path, "# new\n", ["a"], rows())
+            gnn.write_files([gnn.csv_file(path, "# new", ["a"], rows())])
+        with pytest.raises(gnn.GnnNumericError,
+                           match="non-finite a = nan bound for eval.csv"):
+            gnn.write_files([gnn.csv_file(path, "# new", ["a"],
+                                          [[2.0], [float("nan")]])])
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["eval.csv"]
 
@@ -499,6 +500,16 @@ class TestEval:
         summary = experiments.run_eval(micro["config"], str(out),
                                        schemes=["mrt"], size=3)
         assert list(summary) == ["mrt_local"]
+
+    def test_repeated_scheme_rejected(self, micro, tmp_path):
+        # [run] schemes as well as a --schemes list, aliases resolved
+        config = dataclasses.replace(micro["config"],
+                                     schemes=("zf", "mmse", "zf_local"))
+        with pytest.raises(ConfigError, match="zf_local is listed more"):
+            experiments.run_eval(config, str(tmp_path))
+        with pytest.raises(ConfigError, match="zf_local is listed more"):
+            experiments.run_sweep(config, str(tmp_path), "p_dbw", [0.0])
+        assert not os.listdir(tmp_path)
 
     def test_gnn_needs_checkpoint(self, micro, tmp_path):
         empty = tmp_path / "empty"
@@ -703,8 +714,8 @@ class TestTrainRunner:
         out.mkdir()
         trained = []
         real_train = train.train
-        monkeypatch.setattr(train, "train", lambda cfg, progress=None: (
-            trained.append(cfg.system) or real_train(cfg, progress)))
+        monkeypatch.setattr(train, "train", lambda cfg: (
+            trained.append(cfg.system) or real_train(cfg)))
         result, ckpt_path = experiments.run_train(config, str(out),
                                                   pooled=True)
         # one transmitter with every antenna and the total budget
@@ -835,8 +846,7 @@ class TestCli:
                        "each satellite has 4; retrain\n")
         assert os.listdir(out) == ["model.ckpt"]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["eval", "quant"])
     @pytest.mark.parametrize("damage", ["scale-1e-310", "weights-1e100",
                                         "weights-1e20"])
@@ -865,6 +875,55 @@ class TestCli:
         assert rc == 3
         assert err == ("numeric failure: non-finite values after power "
                        "normalization\n")
+        assert os.listdir(out) == ["model.ckpt"]
+
+    def test_numeric_failure_is_one_line_outside_pytest(self, micro,
+                                                        tmp_path):
+        # pytest captures numpy's warnings; a plain process shows them
+        ckpt = train.load_checkpoint(micro["ckpt"])
+        out = tmp_path / "out"
+        out.mkdir()
+        train.save_checkpoint(out / "model.ckpt", ckpt.params, 1e-310)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(os.path.join(REPO, "src")),
+                        env.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-m", "leobeam.cli", "--config",
+             micro["cfg_path"], "--out", str(out), "eval", "--schemes",
+             "gnn", "--size", "2"], env=env, capture_output=True, text=True)
+        assert run.returncode == 3
+        assert run.stderr == ("numeric failure: non-finite values after "
+                              "power normalization\n")
+        assert os.listdir(out) == ["model.ckpt"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv,system", [
+        (["eval", "--schemes", "mrt"], "bandwidth_hz = 1e306"),
+        (["eval", "--schemes", "mrt"],
+         "bandwidth_hz = 1e308\nweights = 1e308"),
+        (["sweep", "--variable", "p_dbw", "--values=0,5", "--schemes", "mrt"],
+         "bandwidth_hz = 1e306"),
+        (["sweep", "--variable", "p_dbw", "--values=0,5", "--schemes", "mrt"],
+         "bandwidth_hz = 1e308\nweights = 1e308"),
+        # at 1e306 the micro quant means stay finite, so only this one fails
+        (["quant"], "bandwidth_hz = 1e308\nweights = 1e308"),
+    ], ids=["eval-1e306", "eval-1e308", "sweep-1e306", "sweep-1e308",
+            "quant-1e308"])
+    def test_non_finite_rates_exit_3(self, micro, tmp_path, capsys, argv,
+                                     system):
+        # rates or their spread overflow a float: no CSV may hold them
+        p = tmp_path / "huge.ini"
+        p.write_text(MICRO_INI.replace("[system]\n", f"[system]\n{system}\n"))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "model.ckpt").write_bytes(open(micro["ckpt"], "rb").read())
+        rc = cli.main(["--config", str(p), "--out", str(out), *argv,
+                       "--size", "2"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("numeric failure: non-finite ")
+        assert err.count("\n") == 1
         assert os.listdir(out) == ["model.ckpt"]
 
     @pytest.mark.parametrize("sigma2_dbm", ["4000", "-4000"])
@@ -935,11 +994,15 @@ class TestCli:
         (["latency", "--bits", "12"], ""),
         (["latency", "--m-list", "4,0"], ""),
         (["latency"], "latency_m_list = 0\n"),
+        (["eval", "--schemes", "mrt,mrt_local"], ""),
+        (["sweep", "--variable", "p_dbw", "--values=0",
+          "--schemes", "zf,mmse,zf_local"], ""),
     ], ids=["values-not-numbers", "values-nan", "values-overflow",
             "values-underflow", "values-subnormal", "k-sats-zero",
             "k-sats-fractional", "sweep-size-0", "eval-size-0",
             "quant-size-negative", "latency-bits-12", "latency-m-list-0",
-            "config-latency-m-list-0"])
+            "config-latency-m-list-0", "eval-repeated-scheme",
+            "sweep-repeated-scheme"])
     def test_bad_values_rejected_before_work(self, tmp_path, capsys,
                                              monkeypatch, argv, run_key):
         def no_work(*args, **kwargs):

@@ -297,6 +297,6 @@ class TestAtomicWrite:
         # the second model is not a parameter set: the write fails after
         # the first model's bytes
         with pytest.raises(AttributeError):
-            train.save_checkpoint(path, [params, "not a model"])
+            train.save_checkpoint(path, [params, "not a model"], 2.0)
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["model.ckpt"]
