@@ -8,6 +8,11 @@ coherently over satellites, c[m, i] = sum_k h[k, m]^H w[k, i].  Every
 function here works on one realization (K, M, N) or on a whole stack of
 them at once, and a stack gives each realization the bits it gets alone.
 
+A global scheme is its local scheme on one transmitter: `pooled(h)` views
+the K satellites as a single one with K*N antennas, (..., 1, M, K*N), the
+local code runs there with the total budget, and `unpooled` maps the
+beams back to (..., K, M, N).
+
 Budget axis: the five schemes take either a scalar budget or a 1-D vector
 of P budgets.  A vector adds a new leading axis, so a stack (..., K, M, N)
 gives beams (P, ..., K, M, N), and the work that does not depend on the
@@ -133,15 +138,12 @@ def wsr(h, w, sigma2: float, bandwidth: float = 1.0,
     return RateReport(per_user_rates=rates, weighted_sum=rates @ omega)
 
 
-_SCOPE_AXES = {"per_satellite": (-2, -1), "total": (-3, -2, -1)}
-
-
-def _rescale(ww: np.ndarray, p, scope: str) -> np.ndarray:
-    """ww scaled to budget p under the scope; dead blocks become zero.  p
-    is a scalar, or (P, 1, ..., 1) budgets for beams ww that lead with the
+def _rescale(ww: np.ndarray, p) -> np.ndarray:
+    """ww scaled to budget p per satellite; dead blocks become zero.  p is
+    a scalar, or (P, 1, ..., 1) budgets for beams ww that lead with the
     matching P axis."""
     out = ww.astype(complex)  # a copy in the layout of ww
-    praw = np.sum(np.abs(out) ** 2, axis=_SCOPE_AXES[scope], keepdims=True)
+    praw = np.sum(np.abs(out) ** 2, axis=(-2, -1), keepdims=True)
     dead = praw < ZERO_POWER
     out *= np.where(dead, 0.0, np.sqrt(p / np.where(dead, 1.0, praw)))
     return out
@@ -149,13 +151,13 @@ def _rescale(ww: np.ndarray, p, scope: str) -> np.ndarray:
 
 def _check_rank(mats: np.ndarray, local: bool) -> None:
     """SingularChannelError naming the first ill-conditioned matrix of a
-    stack: per satellite (..., K, n_ant, M) if local, else stacked
-    (..., KN, M)."""
+    per-satellite stack (..., K, n_ant, M): its satellite if local, else
+    the stacked system, a `pooled` transmitter."""
     bad = np.argwhere(np.linalg.cond(mats) > COND_LIMIT)
     if not len(bad):
         return
-    sample = [int(i) for i in bad[0]]
-    where = [f"satellite {sample.pop()}" if local else "stacked system"]
+    *sample, sat = (int(i) for i in bad[0])
+    where = [f"satellite {sat}" if local else "stacked system"]
     if sample:
         where.insert(0, "sample " + ",".join(map(str, sample)))
     raise SingularChannelError(
@@ -208,6 +210,39 @@ def _beams(wt: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(wt.swapaxes(-1, -2))
 
 
+def pooled(h) -> np.ndarray:
+    """The K satellites as one transmitter of K*N antennas: (..., K, M, N)
+    becomes (..., 1, M, K*N), user m's row h[k, m] concatenated over k."""
+    hh = np.asarray(h)
+    *lead, k_sats, m_users, n_ant = hh.shape
+    return hh.swapaxes(-3, -2).reshape(*lead, 1, m_users, k_sats * n_ant)
+
+
+def unpooled(w, k_sats: int, n_ant: int) -> np.ndarray:
+    """Inverse of `pooled`: (..., 1, M, K*N) back to (..., K, M, N)."""
+    *lead, _, m_users, _ = w.shape
+    return w.reshape(*lead, m_users, k_sats, n_ant).swapaxes(-3, -2)
+
+
+def _zf(hh: np.ndarray, power, normalization: str, local: bool):
+    """Zero-forcing beams of each satellite of hh; `local` as in
+    `_check_rank`."""
+    mats = _blocks(hh)
+    _check_rank(mats, local)
+    return _beams(_zf_normalize(_inverse_directions(mats), power,
+                                normalization))
+
+
+def _mmse(hh: np.ndarray, power, sigma2: float, scheme: str):
+    """Regularized-inversion beams of each satellite of hh, regularizer
+    M sigma2 / P; ValueError naming `scheme` on a budget or noise <= 0."""
+    p = _budget(power, hh.ndim)
+    if _lowest(p) <= 0.0 or sigma2 <= 0.0:
+        raise ValueError(f"{scheme} requires power > 0 and sigma2 > 0")
+    wt = _inverse_directions(_blocks(hh), hh.shape[-2] * sigma2 / p)
+    return _rescale(_beams(wt), p)
+
+
 # --- local schemes (each satellite uses only its own channels) --------------
 
 def mrt_local(h, power) -> BeamformerSet:
@@ -234,60 +269,31 @@ def zf_local(h, power, normalization: str = "per_stream") -> BeamformerSet:
     The satellites' contributions to c[m,m] therefore add coherently, while
     every cross gain c[m,i], i != m, stays exactly zero.
     """
-    mats = _blocks(_tensor(h, "channel"))
-    _check_rank(mats, local=True)
-    wt = _zf_normalize(_inverse_directions(mats), power, normalization)
-    return BeamformerSet(w=_beams(wt), power_budget=power,
-                         scope="per_satellite")
+    return BeamformerSet(
+        w=_zf(_tensor(h, "channel"), power, normalization, local=True),
+        power_budget=power, scope="per_satellite")
 
 
 def mmse_local(h, power, sigma2: float) -> BeamformerSet:
     """Per-satellite regularized inversion, regularizer M sigma2 / P."""
-    hh = _tensor(h, "channel")
-    p = _budget(power, hh.ndim)
-    if _lowest(p) <= 0.0 or sigma2 <= 0.0:
-        raise ValueError("mmse_local requires power > 0 and sigma2 > 0")
-    wt = _inverse_directions(_blocks(hh), hh.shape[-2] * sigma2 / p)
-    return BeamformerSet(w=_rescale(_beams(wt), p, "per_satellite"),
-                         power_budget=power, scope="per_satellite")
+    return BeamformerSet(
+        w=_mmse(_tensor(h, "channel"), power, sigma2, "mmse_local"),
+        power_budget=power, scope="per_satellite")
 
 
-# --- global schemes (stacked NK-antenna transmitter) -------------------------
-
-def _stacked(hh: np.ndarray) -> np.ndarray:
-    """Stack satellite antennas: column m is concat_k h[k, m], (..., KN, M)."""
-    *lead, k_sats, m_users, n_ant = hh.shape
-    return hh.swapaxes(-3, -2).reshape(
-        *lead, m_users, k_sats * n_ant).swapaxes(-1, -2)
-
-
-def _split(w_stack: np.ndarray, k_sats: int, n_ant: int) -> np.ndarray:
-    """Inverse of `_stacked`: (..., KN, M) columns back to (..., K, M, N)."""
-    *lead, _, m_users = w_stack.shape
-    return w_stack.swapaxes(-1, -2).reshape(
-        *lead, m_users, k_sats, n_ant).swapaxes(-3, -2)
-
+# --- global schemes: the local code on the `pooled` transmitter --------------
 
 def zf_global(h, total_power) -> BeamformerSet:
     """Zero forcing on the stacked NK-antenna system, total power budget."""
     hh = _tensor(h, "channel")
-    k_sats, _, n_ant = hh.shape[-3:]
-    mats = _stacked(hh)
-    _check_rank(mats, local=False)
-    wt = _zf_normalize(_inverse_directions(mats), total_power, "per_stream")
-    return BeamformerSet(w=_split(wt, k_sats, n_ant),
+    w = _zf(pooled(hh), total_power, "per_stream", local=False)
+    return BeamformerSet(w=unpooled(w, hh.shape[-3], hh.shape[-1]),
                          power_budget=total_power, scope="total")
 
 
 def mmse_global(h, total_power, sigma2: float) -> BeamformerSet:
     """Regularized inversion on the stacked system, total power budget."""
     hh = _tensor(h, "channel")
-    p = _budget(total_power, hh.ndim)
-    if _lowest(p) <= 0.0 or sigma2 <= 0.0:
-        raise ValueError("mmse_global requires power > 0 and sigma2 > 0")
-    k_sats, m_users, n_ant = hh.shape[-3:]
-    mats = _stacked(hh)
-    wt = _inverse_directions(
-        mats, m_users * sigma2 / _budget(total_power, mats.ndim))
-    return BeamformerSet(w=_rescale(_split(wt, k_sats, n_ant), p, "total"),
+    w = _mmse(pooled(hh), total_power, sigma2, "mmse_global")
+    return BeamformerSet(w=unpooled(w, hh.shape[-3], hh.shape[-1]),
                          power_budget=total_power, scope="total")

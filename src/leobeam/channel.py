@@ -250,13 +250,14 @@ def path_loss_coeff(d0: float, dh: float, carrier_freq: float) -> float:
 
 def sample_rayleigh_amplitude(b: float, rng: np.random.Generator, size):
     """Rayleigh amplitude with E[A^2] = 2b, via sqrt of an Exponential(2b)."""
-    return np.sqrt(rng.exponential(2.0 * b, size=size))
+    # + 0.0 turns b = -0.0, whose scale numpy rejects, into 0
+    return np.sqrt(rng.exponential(2.0 * b + 0.0, size=size))
 
 
 def sample_nakagami_amplitude(m: float, omega: float, rng: np.random.Generator,
                               size):
     """Nakagami-m amplitude with E[Z^2] = omega, via sqrt of a Gamma draw."""
-    return np.sqrt(rng.gamma(m, omega / m, size=size))
+    return np.sqrt(rng.gamma(m, omega / m + 0.0, size=size))  # as above
 
 
 def sample_shadowed_rician(fading: FadingParams, los_phase: float,

@@ -151,7 +151,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (train.TrainingDivergedError, gnn.GnnNumericError,
-            accel.CapacityError, beamform.SingularChannelError) as exc:
+            accel.CapacityError, beamform.SingularChannelError,
+            np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except experiments.MissingArtifactError as exc:

@@ -47,20 +47,13 @@ class MissingArtifactError(Exception):
 # unit conversions
 
 
-def dbw_to_watts(x: float) -> float:
-    return 10.0 ** (x / 10.0)
-
-
-def dbm_to_watts(x: float) -> float:
-    return 10.0 ** ((x - 30.0) / 10.0)
-
-
-def dbi_to_linear(x: float) -> float:
-    return 10.0 ** (x / 10.0)
-
-
-def deg_to_rad(x: float) -> float:
-    return math.radians(x)
+def db_to_linear(x: float) -> float:
+    """10^(x/10): the watts of x dBW (of x dBm at x - 30), or the linear
+    gain of x dBi; inf where that overflows a float."""
+    try:
+        return 10.0 ** (x / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +207,10 @@ class ExperimentConfig:
         for name in ("eval_size", "quant_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"run.{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be >= 0, got {self.seed}")
         _check_user_counts(self.latency_m_list, "run.latency_m_list")
-        if not 0.0 < _watts(dbm_to_watts, self.sigma2_dbm) < math.inf:
+        if not 0.0 < self.sigma2 < math.inf:
             raise ConfigError(
                 f"[system] sigma2_dbm = {self.sigma2_dbm!r} is out of range: "
                 "the noise power must be finite and > 0 W")
@@ -233,16 +228,16 @@ class ExperimentConfig:
     @property
     def power(self) -> float:
         """Per-satellite transmit budget in watts."""
-        return dbw_to_watts(self.p_dbw)
+        return db_to_linear(self.p_dbw)
 
     @property
     def sigma2(self) -> float:
         """Noise variance in watts."""
-        return dbm_to_watts(self.sigma2_dbm)
+        return db_to_linear(self.sigma2_dbm - 30.0)
 
     @property
     def b_max(self) -> float:
-        return dbi_to_linear(self.b_max_dbi)
+        return db_to_linear(self.b_max_dbi)
 
     @property
     def weight_tuple(self) -> tuple:
@@ -259,8 +254,8 @@ class ExperimentConfig:
             d0=self.d0_m,
             carrier_freq=self.carrier_freq_hz,
             b_max=self.b_max,
-            phi=tuple(deg_to_rad(p) for p in phi),
-            phi_3db=deg_to_rad(self.phi_3db_deg),
+            phi=tuple(math.radians(p) for p in phi),
+            phi_3db=math.radians(self.phi_3db_deg),
             fading=channel.FadingParams(self.fading_b, self.fading_m,
                                         self.fading_omega),
             dh=self.dh_m,
@@ -347,10 +342,10 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
 
 
 def resolve_out_dir(config: ExperimentConfig, cli_out=None) -> str:
-    out = cli_out or config.out_dir or os.environ.get("LEOBEAM_OUT_DIR") \
+    """The output directory; `gnn.atomic_write` creates it at the first
+    write, so a command rejected before any work leaves none."""
+    return cli_out or config.out_dir or os.environ.get("LEOBEAM_OUT_DIR") \
         or "leobeam_out"
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +409,10 @@ def compute_beams(scheme: str, h, per_sat_power, total_power,
     The budgets may be 1-D vectors of P budgets each: the beams then gain a
     leading budget axis, (P, ..., K, M, N).  The classical schemes do their
     budget-independent work once; the networks run once per budget, with
-    `dense` as their layer (float, or `accel.quantized_dense`).
+    `dense` as their layer (float, or `accel.quantized_dense`).  Like
+    `zf_global` and `mmse_global`, gnn_global is its local scheme on
+    `beamform.pooled(h)`: gnn_local with the pooled checkpoint and the
+    total budget.
     """
     if scheme == "mrt_local":
         return beamform.mrt_local(h, per_sat_power)
@@ -428,47 +426,40 @@ def compute_beams(scheme: str, h, per_sat_power, total_power,
         return beamform.mmse_global(h, total_power, sigma2)
     if scheme not in ("gnn_local", "gnn_global"):
         raise ConfigError(f"unknown scheme {scheme!r}")
-    if beamform._is_vector(per_sat_power) or beamform._is_vector(total_power):
-        per, tot = np.broadcast_arrays(per_sat_power, total_power)
-        sets = [compute_beams(scheme, h, p, t, sigma2, gnn_ctx,
-                              gnn_ctx_global, dense) for p, t in zip(per, tot)]
-        return beamform.BeamformerSet(
-            w=np.stack([s.w for s in sets]), scope=sets[0].scope,
-            power_budget=per if scheme == "gnn_local" else tot)
     h = np.asarray(h)
     k, m, n = h.shape[-3:]
-    if scheme == "gnn_local":
-        if gnn_ctx is None:
+    if scheme == "gnn_global":
+        if gnn_ctx_global is None:
             raise MissingArtifactError(
-                "scheme gnn_local needs a trained checkpoint; run "
-                "'leobeam train --config <file>' first")
-        if gnn_ctx.n_antennas != n:
+                "scheme gnn_global needs a checkpoint trained on the pooled "
+                "system; run 'leobeam train --config <file> --pooled' first")
+        if gnn_ctx_global.n_antennas != k * n:
             raise MissingArtifactError(
-                f"checkpoint expects {gnn_ctx.n_antennas} antennas but each "
-                f"satellite has {n}; retrain")
-        sys = train.SystemParams(k, m, n, power=per_sat_power, sigma2=sigma2,
-                                 input_scale=gnn_ctx.input_scale)
-        w = train.infer_batch(gnn_ctx.params, h.reshape(-1, k, m, n), sys,
-                              dense)
-        return beamform.BeamformerSet(w=w.reshape(h.shape),
-                                      power_budget=per_sat_power)
-    ctx = gnn_ctx_global
-    if ctx is None:
+                f"pooled checkpoint expects {gnn_ctx_global.n_antennas} "
+                f"antennas but the stacked system has {k * n}; retrain with "
+                "--pooled")
+        beams = compute_beams("gnn_local", beamform.pooled(h), total_power,
+                              total_power, sigma2, gnn_ctx_global,
+                              dense=dense)
+        return beamform.BeamformerSet(w=beamform.unpooled(beams.w, k, n),
+                                      power_budget=total_power, scope="total")
+    if beamform._is_vector(per_sat_power):
+        return beamform.BeamformerSet(w=np.stack([
+            compute_beams(scheme, h, p, None, sigma2, gnn_ctx, dense=dense).w
+            for p in per_sat_power]), power_budget=per_sat_power)
+    if gnn_ctx is None:
         raise MissingArtifactError(
-            "scheme gnn_global needs a checkpoint trained on the pooled "
-            "system; run 'leobeam train --config <file> --pooled' first")
-    if ctx.n_antennas != k * n:
+            "scheme gnn_local needs a trained checkpoint; run "
+            "'leobeam train --config <file>' first")
+    if gnn_ctx.n_antennas != n:
         raise MissingArtifactError(
-            f"pooled checkpoint expects {ctx.n_antennas} antennas but the "
-            f"stacked system has {k * n}; retrain with --pooled")
-    # the pooled network sees one satellite with K*N antennas
-    sys = train.SystemParams(1, m, k * n, power=total_power, sigma2=sigma2,
-                             input_scale=ctx.input_scale)
-    pooled = beamform._stacked(h).swapaxes(-1, -2).reshape(-1, 1, m, k * n)
-    ws = train.infer_batch(ctx.params, pooled, sys, dense)
-    w = beamform._split(ws[:, 0].swapaxes(-1, -2), k, n)
+            f"checkpoint expects {gnn_ctx.n_antennas} antennas but each "
+            f"satellite has {n}; retrain")
+    sys = train.SystemParams(k, m, n, power=per_sat_power, sigma2=sigma2,
+                             input_scale=gnn_ctx.input_scale)
+    w = train.infer_batch(gnn_ctx.params, h.reshape(-1, k, m, n), sys, dense)
     return beamform.BeamformerSet(w=w.reshape(h.shape),
-                                  power_budget=total_power, scope="total")
+                                  power_budget=per_sat_power)
 
 
 def budget_for_policy(policy: str, per_sat_power: float, k_sats: int):
@@ -530,6 +521,17 @@ def _rates_for_schemes(h_batch, schemes, per_sat_power, total_power, config,
     return out
 
 
+def _mean_std(vals) -> tuple:
+    """(mean, std) of vals, taken on vals / 2^e with e the exponent of the
+    largest magnitude, so squared deviations near 1e154 cannot overflow.
+    Scaling by a power of two is exact, so where vals.mean() and
+    vals.std() are finite these are their bits."""
+    e = np.frexp(np.max(np.abs(vals)))[1]
+    scaled = np.ldexp(vals, -e)
+    return (float(np.ldexp(scaled.mean(), e)),
+            float(np.ldexp(scaled.std(), e)))
+
+
 def run_eval(config: ExperimentConfig, out_dir: str,
              schemes=None, size=None):
     """Evaluate beamforming schemes on a seeded channel ensemble.
@@ -557,13 +559,9 @@ def run_eval(config: ExperimentConfig, out_dir: str,
                          float(config.p_dbw)]
                         + [float(r) for r in rep.per_user_rates[idx]]
                         + [float(rep.weighted_sum[idx])])
-    summary = {}
-    srows = []
-    for scheme in names:
-        vals = rates[scheme].weighted_sum
-        summary[scheme] = (float(vals.mean()), float(vals.std()))
-        srows.append([scheme, len(vals), float(vals.mean()),
-                      float(vals.std())])
+    summary = {scheme: _mean_std(rates[scheme].weighted_sum)
+               for scheme in names}
+    srows = [[scheme, count, *summary[scheme]] for scheme in names]
     gnn.write_files([
         gnn.csv_file(os.path.join(out_dir, "eval.csv"), _artifact_header(
             "eval", config, "units: rates b/s, power dBW"), cols, rows),
@@ -575,14 +573,6 @@ def run_eval(config: ExperimentConfig, out_dir: str,
     return summary
 
 
-def _watts(convert, decibels: float) -> float:
-    """convert(decibels), or inf where the power overflows a float."""
-    try:
-        return convert(decibels)
-    except OverflowError:
-        return math.inf
-
-
 def _check_budget(p_dbw: float, k_values, m_users: int, sigma2: float,
                  where: str) -> float:
     """Per-satellite budget P in watts of p_dbw, checked for every power
@@ -592,7 +582,7 @@ def _check_budget(p_dbw: float, k_values, m_users: int, sigma2: float,
     > 0 and keep the MMSE regularizer M*sigma2/budget finite (a subnormal
     budget overflows it).  Otherwise ConfigError names `where`.
     """
-    watts = _watts(dbw_to_watts, p_dbw)
+    watts = db_to_linear(p_dbw)
     k = max(k_values)
     low, high = watts / k, watts * k
     if not (0.0 < low and high < math.inf
@@ -673,10 +663,9 @@ def run_sweep(config: ExperimentConfig, out_dir: str, variable: str,
     rows = []
     for value, wsr in zip(map(float, points), per_point):
         for scheme in names:
-            vals = wsr[scheme]
-            results[scheme].append((value, float(vals.mean())))
-            rows.append([variable, value, policy, scheme, len(vals),
-                         float(vals.mean()), float(vals.std())])
+            mean, std = _mean_std(wsr[scheme])
+            results[scheme].append((value, mean))
+            rows.append([variable, value, policy, scheme, count, mean, std])
 
     hdr = _artifact_header("sweep", config,
                            f"variable={variable} policy={policy} "

@@ -493,8 +493,9 @@ def atomic_write(path, mode: str = "w"):
     file at `path`, so a reader finds the old file or the whole new one,
     never a part.  When it raises, the temporary file is removed and `path`
     is left as it was.  (No fsync: this guards against failures and killed
-    processes, not against power loss.)
+    processes, not against power loss.)  Creates the parent directory.
     """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, mode) as fh:

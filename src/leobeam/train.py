@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channel
-from .beamform import ZERO_POWER, BeamformerSet, rate_terms
+from .beamform import ZERO_POWER, BeamformerSet, pooled, rate_terms, unpooled
 from .gnn import (ArtifactError, FcLayer, GnnParams, atomic_write, csv_file,
                   init_params, read_exact, read_params, scaled_dims,
                   write_files, write_params, _dense, _ensure_finite,
@@ -255,11 +255,9 @@ def _wsr_backward(h, c, sinr, intf, weights, bandwidth: float, batch: int):
     q[:, idx, idx] = gs / intf
     gc = 2.0 * q * c
     # gw[b, k, i] = sum_m gc[b, m, i] h[b, k, m]: one matmul per sample over
-    # the channel stacked as (M, K*N)
+    # the pooled (M, K*N) channel
     _, k, _, n = h.shape
-    hm = np.swapaxes(h, 1, 2).reshape(batch, m, k * n)
-    gw = np.swapaxes(gc, 1, 2) @ hm
-    return np.swapaxes(gw.reshape(batch, m, k, n), 1, 2)
+    return unpooled(np.swapaxes(gc, 1, 2)[:, None] @ pooled(h), k, n)
 
 
 # --- public loss / gradient API ------------------------------------------------

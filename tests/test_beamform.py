@@ -102,7 +102,7 @@ class TestEnforcePower:
     def test_per_satellite_budget(self):
         rng = np.random.default_rng(40)
         w = rand_channel(rng, k=3, m=2, n=4)
-        out = beamform._rescale(w, 2.5, "per_satellite")
+        out = beamform._rescale(w, 2.5)
         for k in range(3):
             assert np.sum(np.abs(out[k]) ** 2) == pytest.approx(2.5,
                                                                 rel=1e-12)
@@ -110,12 +110,12 @@ class TestEnforcePower:
     def test_total_budget(self):
         rng = np.random.default_rng(41)
         w = rand_channel(rng, k=3, m=2, n=4)
-        out = beamform._rescale(w, 2.5, "total")
+        # a total budget is the per-satellite one of the pooled transmitter
+        out = beamform._rescale(beamform.pooled(w), 2.5)
         assert np.sum(np.abs(out) ** 2) == pytest.approx(2.5, rel=1e-12)
 
     def test_zero_input_stays_zero(self):
-        out = beamform._rescale(np.zeros((2, 2, 2), dtype=complex), 1.0,
-                                "per_satellite")
+        out = beamform._rescale(np.zeros((2, 2, 2), dtype=complex), 1.0)
         assert np.all(out == 0)
 
 
@@ -246,6 +246,33 @@ class TestMmse:
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(ValueError):
             beamform.mmse_local(np.ones((1, 1, 1), dtype=complex), 1.0, 0.0)
+
+
+class TestPooled:
+    def test_round_trip_and_layout(self):
+        rng = np.random.default_rng(90)
+        # a stack (B, K, M, N) with a budget axis in front, and one
+        # realization
+        for shape in ((2, 3, 3, 4, 2), (3, 4, 2)):
+            h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            k_sats, m_users, n_ant = shape[-3:]
+            p = beamform.pooled(h)
+            assert p.shape == shape[:-3] + (1, m_users, k_sats * n_ant)
+            for k in range(k_sats):
+                assert np.array_equal(
+                    p[..., 0, :, k * n_ant:(k + 1) * n_ant], h[..., k, :, :])
+            assert np.array_equal(beamform.unpooled(p, k_sats, n_ant), h)
+
+    def test_global_schemes_are_local_ones_pooled(self):
+        rng = np.random.default_rng(91)
+        h = rand_channel(rng, k=3 * 2, m=3, n=2).reshape(3, 2, 3, 2)
+        pooled = beamform.pooled(h)
+        for glob, local in (
+                (beamform.zf_global(h, 2.0), beamform.zf_local(pooled, 2.0)),
+                (beamform.mmse_global(h, 2.0, 0.1),
+                 beamform.mmse_local(pooled, 2.0, 0.1))):
+            assert np.array_equal(beamform.pooled(glob.w), local.w)
+            assert glob.scope == "total"
 
 
 class TestGlobalLocalConsistency:

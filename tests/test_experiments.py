@@ -3,6 +3,7 @@
 import configparser
 import dataclasses
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -10,14 +11,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from leobeam import accel, beamform, cli, experiments, gnn, svgplot, train
 from leobeam.experiments import (ALL_SCHEMES, GLOBAL_SCHEMES, ConfigError,
                                  MissingArtifactError, budget_for_policy,
                                  canonical_scheme, compute_beams,
-                                 dbi_to_linear, dbm_to_watts, dbw_to_watts,
-                                 deg_to_rad, load_config, resolve_out_dir)
+                                 db_to_linear, load_config, resolve_out_dir)
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 CLASSICAL = ("mrt_local", "zf_local", "mmse_local", "zf_global",
@@ -61,14 +62,21 @@ def micro(tmp_path_factory):
             "root": root, "result": result, "ckpt": ckpt_path}
 
 
+@pytest.fixture(scope="module")
+def micro_ckpt(micro):
+    # the path alone: hypothesis prints every argument of a failing example
+    return micro["ckpt"]
+
+
 class TestConversions:
     def test_known_points(self):
-        assert dbw_to_watts(0.0) == 1.0
-        assert dbw_to_watts(10.0) == pytest.approx(10.0, rel=1e-15)
-        assert dbm_to_watts(-90.0) == pytest.approx(1e-12, rel=1e-12)
-        assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
-        assert dbi_to_linear(52.0) == pytest.approx(10 ** 5.2, rel=1e-15)
-        assert deg_to_rad(180.0) == pytest.approx(np.pi, rel=1e-15)
+        assert db_to_linear(0.0) == 1.0
+        assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
+        # dBm is the same helper 30 dB down
+        assert db_to_linear(-90.0 - 30.0) == pytest.approx(1e-12, rel=1e-12)
+        assert db_to_linear(30.0 - 30.0) == pytest.approx(1.0, rel=1e-15)
+        assert db_to_linear(52.0) == pytest.approx(10 ** 5.2, rel=1e-15)
+        assert db_to_linear(4000.0) == float("inf")
 
 
 class TestConfigLoading:
@@ -158,9 +166,9 @@ class TestConfigLoading:
     def test_budget_check_covers_every_policy(self):
         # M*sigma2/P is finite down to about 2.2e-320 W at M = 4; split
         # divides P by K, so the least usable budget grows with K
-        sigma2 = experiments.dbm_to_watts(-90.0)
+        sigma2 = experiments.db_to_linear(-90.0 - 30.0)
         assert experiments._check_budget(-3190.0, (1,), 4, sigma2, "k") \
-            == experiments.dbw_to_watts(-3190.0)
+            == experiments.db_to_linear(-3190.0)
         with pytest.raises(ConfigError, match="K up to 8"):
             experiments._check_budget(-3190.0, (1, 8), 4, sigma2, "k")
         with pytest.raises(ConfigError, match="K up to 3"):
@@ -228,8 +236,8 @@ class TestConfigLoading:
         c = load_config(None)
         cp = c.channel_params()
         assert len(cp.phi) == c.m_users
-        assert cp.phi[0] == pytest.approx(deg_to_rad(0.01))
-        assert cp.phi_3db == pytest.approx(deg_to_rad(0.4))
+        assert cp.phi[0] == pytest.approx(np.radians(0.01))
+        assert cp.phi_3db == pytest.approx(np.radians(0.4))
         assert cp.b_max == pytest.approx(10 ** 5.2)
         assert cp.fading.b == 0.063
 
@@ -316,7 +324,7 @@ class TestComputeBeams:
     def test_exact_power_budgets(self, k, m, extra, seed, p_dbw, policy):
         n = m + extra  # enough antennas for per-satellite zero forcing
         h = random_stack(np.random.default_rng(seed), 2, k, m, n)
-        per_sat, total = budget_for_policy(policy, dbw_to_watts(p_dbw), k)
+        per_sat, total = budget_for_policy(policy, db_to_linear(p_dbw), k)
         local, pooled = random_networks(k, n)
         for scheme in ALL_SCHEMES:
             pooled_only = scheme in GLOBAL_SCHEMES
@@ -361,7 +369,7 @@ class TestBudgetAxis:
     def test_desk_ensemble_bytes_equal_per_budget(self, policy):
         config = load_config(os.path.join(REPO, "configs", "desk.ini"))
         h = experiments._sample_batch(config, 40, experiments._STREAM_SWEEP)
-        watts = np.array([dbw_to_watts(v) for v in (-10, -5, 0, 5, 10)])
+        watts = np.array([db_to_linear(v) for v in (-10, -5, 0, 5, 10)])
         per_sat, total = budget_for_policy(policy, watts, config.k_sats)
         local, pooled = random_networks(config.k_sats, config.n_antennas)
         assert_budget_axis_bytes(h, per_sat, total, config.sigma2,
@@ -381,7 +389,7 @@ class TestBudgetAxis:
         n = m + extra  # enough antennas for per-satellite zero forcing
         rng = np.random.default_rng(seed)
         h = random_stack(rng, b, k, m, n)
-        watts = np.array([dbw_to_watts(v) for v in p_dbw])
+        watts = np.array([db_to_linear(v) for v in p_dbw])
         per_sat, total = budget_for_policy(policy, watts, k)
         assert_budget_axis_bytes(h, per_sat, total, sigma2, CLASSICAL)
         # the trace-normalized ZF takes the axis as well
@@ -407,8 +415,7 @@ class TestBudgetAxis:
         assert np.all(mrt[:, 1, 0, 2] == 0) and np.all(mrt[:, 0, 1] == 0)
         assert np.all(mrt[:, 1, 0, :2] != 0)
         scaled = beamform._rescale(np.stack([h, h]),
-                                   beamform._budget(budgets, h.ndim),
-                                   "per_satellite")
+                                   beamform._budget(budgets, h.ndim))
         assert np.all(scaled[:, 0, 1] == 0) and np.all(scaled[:, 1, 1] != 0)
 
     def test_bad_budget_vectors_rejected(self):
@@ -452,7 +459,11 @@ class TestResolveOutDir:
         assert resolve_out_dir(c) == str(tmp_path / "env")
         monkeypatch.delenv("LEOBEAM_OUT_DIR")
         assert resolve_out_dir(c) == "leobeam_out"
-        assert os.path.isdir("leobeam_out")
+        # resolving makes nothing; the first write makes the directory
+        assert not os.path.exists("leobeam_out")
+        gnn.write_files([gnn.csv_file(os.path.join("leobeam_out", "a.csv"),
+                                      "# a", ["a"], [[1.0]])])
+        assert os.listdir("leobeam_out") == ["a.csv"]
 
 
 class TestEval:
@@ -899,20 +910,15 @@ class TestCli:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv,system", [
-        (["eval", "--schemes", "mrt"], "bandwidth_hz = 1e306"),
         (["eval", "--schemes", "mrt"],
          "bandwidth_hz = 1e308\nweights = 1e308"),
         (["sweep", "--variable", "p_dbw", "--values=0,5", "--schemes", "mrt"],
-         "bandwidth_hz = 1e306"),
-        (["sweep", "--variable", "p_dbw", "--values=0,5", "--schemes", "mrt"],
          "bandwidth_hz = 1e308\nweights = 1e308"),
-        # at 1e306 the micro quant means stay finite, so only this one fails
         (["quant"], "bandwidth_hz = 1e308\nweights = 1e308"),
-    ], ids=["eval-1e306", "eval-1e308", "sweep-1e306", "sweep-1e308",
-            "quant-1e308"])
+    ], ids=["eval-1e308", "sweep-1e308", "quant-1e308"])
     def test_non_finite_rates_exit_3(self, micro, tmp_path, capsys, argv,
                                      system):
-        # rates or their spread overflow a float: no CSV may hold them
+        # weighted sum rates overflow a float: no CSV may hold them
         p = tmp_path / "huge.ini"
         p.write_text(MICRO_INI.replace("[system]\n", f"[system]\n{system}\n"))
         out = tmp_path / "out"
@@ -925,6 +931,36 @@ class TestCli:
         assert err.startswith("numeric failure: non-finite ")
         assert err.count("\n") == 1
         assert os.listdir(out) == ["model.ckpt"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv,summary", [
+        (["eval", "--schemes", "mrt"], "eval_summary.csv"),
+        (["sweep", "--variable", "p_dbw", "--values=0,5", "--schemes", "mrt"],
+         "sweep.csv")], ids=["eval", "sweep"])
+    @pytest.mark.parametrize("bandwidth,shift", [(1e160, 500), (1e306, 1000)],
+                             ids=["1e160", "1e306"])
+    def test_huge_finite_rates_keep_an_exact_spread(
+            self, micro, tmp_path, capsys, argv, summary, bandwidth, shift):
+        # the deviations of rates near 1e154 overflow when squared; the
+        # spread must not: rates at bandwidth B / 2^shift are exactly
+        # 2^-shift of those at B, and so are their means and spreads
+        columns = []
+        for b in (bandwidth, math.ldexp(bandwidth, -shift)):
+            p = tmp_path / "huge.ini"
+            p.write_text(MICRO_INI.replace(
+                "[system]\n", f"[system]\nbandwidth_hz = {b!r}\n"))
+            out = tmp_path / repr(b)
+            rc = cli.main(["--config", str(p), "--out", str(out), *argv,
+                           "--size", "2"])
+            assert rc == 0 and capsys.readouterr().err == ""
+            lines = (out / summary).read_text().splitlines()[1:]
+            cols = lines[0].split(",")
+            columns.append([[float(row.split(",")[cols.index(name)])
+                             for row in lines[1:]]
+                            for name in ("mean_wsr_bps", "std_wsr_bps")])
+        huge, plain = columns
+        assert all(math.isfinite(v) and v > 0 for v in huge[1])
+        assert huge == [[math.ldexp(v, shift) for v in col] for col in plain]
 
     @pytest.mark.parametrize("sigma2_dbm", ["4000", "-4000"])
     def test_unusable_noise_power_is_2(self, tmp_path, capsys, sigma2_dbm):
@@ -1018,7 +1054,7 @@ class TestCli:
         assert rc == 2
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_unknown_scheme_is_2(self, micro):
         rc = cli.main(["--config", micro["cfg_path"], "--out", micro["out"],
@@ -1063,6 +1099,87 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+
+# the value drawn for a key, by the key's type; integer keys (dimensions,
+# counts, sizes, seed, bits, tiles) draw from -1..3, so no example
+# allocates much
+_INTS = st.integers(-1, 3)
+_FLOATS = st.floats().map(repr)
+_FUZZ_VALUES = {
+    "int": _INTS.map(str),
+    "float": _FLOATS,
+    "bool": st.sampled_from(["true", "false", "maybe"]),
+    "str": st.sampled_from(["", "missing.ckpt"]),
+    "tuple[int, ...]": st.lists(_INTS, max_size=3).map(
+        lambda v: ",".join(map(str, v))),
+    "tuple[float, ...]": st.lists(_FLOATS, max_size=3).map(",".join),
+    "tuple[str, ...]": st.lists(
+        st.sampled_from(ALL_SCHEMES + ("mrt", "bogus")), max_size=3).map(
+            ",".join),
+}
+_FUZZ_COMMANDS = {
+    "eval": ["eval", "--size", "4"],
+    "latency": ["latency"],
+    "sweep": ["sweep", "--variable", "p_dbw", "--values=0,5", "--size", "4"],
+    "quant": ["quant", "--size", "4"],
+}
+
+
+class TestCliContract:
+    """Any one config value, through `cli.main`: exit 0, 2, 3 or 4 with
+    one stderr line and no traceback; exit 0 writes only finite CSV
+    floats; any other exit leaves nothing behind."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(sorted(_FUZZ_COMMANDS)),
+           case=st.sampled_from(sorted(experiments._KEYS)).flatmap(
+               lambda key: st.tuples(st.just(key), _FUZZ_VALUES[
+                   experiments._KEYS[key].type])))
+    # cases found outside the contract: a negative seed, a Gram matrix
+    # that underflows to singular, and a -0.0 scale that numpy rejects
+    @example(command="eval", case=(("run", "seed"), "-1"))
+    @example(command="eval",
+             case=(("system", "carrier_freq_hz"), "2.3494948343216815e+165"))
+    @example(command="eval", case=(("fading", "b"), "-0.0"))
+    @example(command="quant", case=(("fading", "omega"), "-0.0"))
+    # rates that overflow: exit 3, so the CSV guard is always exercised
+    @example(command="sweep", case=(("system", "bandwidth_hz"), "1e308"))
+    def test_one_value_keeps_the_contract(self, micro_ckpt, tmp_path, capsys,
+                                          command, case):
+        (section, key), value = case
+        ini = configparser.ConfigParser(interpolation=None)
+        ini.read_string(MICRO_INI)
+        ini["run"]["checkpoint"] = micro_ckpt
+        ini[section] = {**(ini[section] if section in ini else {}),
+                        key: value}
+        root = tmp_path / str(len(os.listdir(tmp_path)))
+        root.mkdir()
+        with open(root / "c.ini", "w") as fh:
+            ini.write(fh)
+        out = root / "out"
+        capsys.readouterr()
+        rc = cli.main(["--config", str(root / "c.ini"), "--out", str(out),
+                       *_FUZZ_COMMANDS[command]])
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3, 4), err
+        assert "Traceback" not in err
+        if rc:
+            assert err.endswith("\n") and err.count("\n") == 1, err
+            assert os.listdir(root) == ["c.ini"]
+            return
+        for name in os.listdir(out):
+            if not name.endswith(".csv"):
+                continue
+            for line in (out / name).read_text().splitlines()[2:]:
+                for cell in line.split(","):
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(v), (name, line)
 
 
 class TestSvgPlot:
