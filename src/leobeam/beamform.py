@@ -152,8 +152,12 @@ def _rescale(ww: np.ndarray, p) -> np.ndarray:
 def _check_rank(mats: np.ndarray, local: bool) -> None:
     """SingularChannelError naming the first ill-conditioned matrix of a
     per-satellite stack (..., K, n_ant, M): its satellite if local, else
-    the stacked system, a `pooled` transmitter."""
-    bad = np.argwhere(np.linalg.cond(mats) > COND_LIMIT)
+    the stacked system, a `pooled` transmitter.  With fewer antennas than
+    users every matrix is rank-deficient, whatever its condition number."""
+    n_ant, m_users = mats.shape[-2:]
+    cond = (np.full(mats.shape[:-2], np.inf) if n_ant < m_users
+            else np.linalg.cond(mats))
+    bad = np.argwhere(cond > COND_LIMIT)
     if not len(bad):
         return
     *sample, sat = (int(i) for i in bad[0])

@@ -11,10 +11,12 @@ beams are rescaled to the exact per-satellite power budget.
 one batch, evaluates MLP1 once per node and takes the dense layer as a
 callback, so training, float inference, the instrumented per-satellite
 forward and the fixed-point accelerator model all compute the same network
-with the same code.  The pairwise schedule `graph_conv`, which evaluates
-MLP1 once per ordered neighbor pair, is kept only as a reference.  The
-forward, the reference and the backward in `train` all address a conv as
-the slice of its four dense layers (`layers[2:6]`, `layers[6:10]`).
+with the same code.  A training run also passes a `Workspace`, whose
+buffers the pass fills instead of allocating its large arrays anew.  The
+pairwise schedule `graph_conv`, which evaluates MLP1 once per ordered
+neighbor pair, is kept only as a reference.  The forward, the reference
+and the backward in `train` all address a conv as the slice of its four
+dense layers (`layers[2:6]`, `layers[6:10]`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -178,12 +181,78 @@ def init_params(dims: GnnDims, rng: np.random.Generator,
 # tallies), or the accelerator's integer layer.
 
 
-def _dense(x, layer: FcLayer, spec: LayerSpec):
-    y = x @ layer.w
+def _dense(x, layer: FcLayer, spec: LayerSpec, out=None):
+    # the operator skips the keyword parsing, which a one-row pass notices
+    y = x @ layer.w if out is None else np.matmul(x, layer.w, out=out)
     y += layer.b
     if spec.relu:
         np.maximum(y, 0.0, out=y)
     return y
+
+
+class Workspace:
+    """Arrays that one training run reuses across its steps and test
+    chunks instead of allocating them anew, keyed by role, shape and dtype.
+
+    A role is what a buffer holds: a dense layer's output (the layer's
+    name), a conv's concatenation or routing masks, the neighbor-max
+    scratch, a ReLU mask.  A buffer is overwritten by the next pass that
+    asks for its key, so what a pass returns from it is valid until then.
+    Each buffer is its own anonymous memory map, so a dropped workspace
+    returns its memory to the system, not to the allocator's heap, where
+    it could stay resident after training.
+    """
+
+    def __init__(self):
+        self._bufs = {}
+
+    def take(self, role, shape, dtype) -> np.ndarray:
+        key = (role, tuple(shape), np.dtype(dtype))
+        buf = self._bufs.get(key)
+        if buf is None:
+            count = math.prod(key[1])
+            pages = mmap.mmap(-1, max(1, count * key[2].itemsize))
+            buf = self._bufs[key] = np.frombuffer(
+                pages, key[2], count).reshape(key[1])
+        return buf
+
+    @property
+    def nbytes(self) -> int:
+        return sum(buf.nbytes for buf in self._bufs.values())
+
+    def dense(self, x, layer: FcLayer, spec: LayerSpec):
+        """`_dense` into this workspace's buffer for the layer."""
+        return _dense(x, layer, spec, self.take(
+            spec.name, (len(x), spec.fan_out), x.dtype))
+
+
+def _buffer(ws: Workspace | None, role, shape, dtype) -> np.ndarray:
+    """The workspace's buffer for `role`, or a fresh one without one."""
+    return np.empty(shape, dtype) if ws is None else ws.take(role, shape,
+                                                             dtype)
+
+
+def _out(ws: Workspace | None, role, shape, dtype):
+    """The workspace's buffer for `role` as a numpy `out=`, or None, with
+    which numpy allocates the result itself."""
+    return None if ws is None else ws.take(role, shape, dtype)
+
+
+def _outs(ws: Workspace | None, role, count: int, shape, dtype) -> list:
+    """`count` numpy `out=` arguments of one shape: the rows of the
+    workspace's buffer for `role`, or None each."""
+    if ws is None:
+        return [None] * count
+    return list(ws.take(role, (count, *shape), dtype))
+
+
+def _contiguous(ws: Workspace | None, role, src) -> np.ndarray:
+    """A C-contiguous copy of src, in the workspace's buffer for `role`."""
+    if ws is None:
+        return np.ascontiguousarray(src)
+    buf = ws.take(role, src.shape, src.dtype)
+    np.copyto(buf, src)
+    return buf
 
 
 def _count(counts, key, amount):
@@ -205,13 +274,15 @@ def _counted(dense, counts):
     return counted
 
 
-def _neighbor_max(h, out, want_route: bool = True):
+def _neighbor_max(h, out, want_route: bool = True, ws=None, name: str = ""):
     """Per-node elementwise max over the other nodes of each graph.
 
     h has shape (G, M, F): G independent graphs of M nodes.  The aggregate
     is written to `out`, of the same shape.  Returns the gradient routing,
     or None when it is not wanted and for M = 1, where the aggregate is
-    zero (the identity of max over ReLU outputs) and has no sources.
+    zero (the identity of max over ReLU outputs) and has no sources.  With
+    a workspace `ws`, the scratch arrays come from its "nm" roles, shared
+    by every call, and the routing from roles of the given `name`.
 
     The work is node-major, on a contiguous (M, G, F) copy of h.  Running
     maxima prefix[j] over nodes 0..j and suffix[j] over nodes j..M-1 give
@@ -227,13 +298,15 @@ def _neighbor_max(h, out, want_route: bool = True):
     if m == 1:
         out.fill(0.0)
         return None
-    hn = np.ascontiguousarray(h.transpose(1, 0, 2))
+    hn = _contiguous(ws, "nm", h.transpose(1, 0, 2))
+    pre = _outs(ws, "nm.prefix", m - 1, (g, f), h.dtype)
     prefix = [hn[0]]
     for j in range(1, m):
-        prefix.append(np.maximum(prefix[-1], hn[j]))
+        prefix.append(np.maximum(prefix[-1], hn[j], out=pre[j - 1]))
+    suf = _outs(ws, "nm.suffix", m - 1, (g, f), h.dtype)
     suffix = [hn[m - 1]]
     for j in range(m - 2, -1, -1):
-        suffix.append(np.maximum(hn[j], suffix[-1]))
+        suffix.append(np.maximum(hn[j], suffix[-1], out=suf[j]))
     suffix.reverse()
     out[:, 0] = suffix[1]
     out[:, m - 1] = prefix[m - 2]
@@ -245,16 +318,17 @@ def _neighbor_max(h, out, want_route: bool = True):
     # top: the node at which the running maximum first reaches the overall
     # maximum.  The runner-up value is what the top node aggregates, the
     # smallest aggregate; second marks the first other node holding it.
-    top = np.empty(hn.shape, dtype=bool)
+    top = _buffer(ws, name + ".top", hn.shape, bool)
     reached = top[0] = hn[0] == prefix[-1]
     for j in range(1, m):
         now = prefix[j] == prefix[-1]
         np.greater(now, reached, out=top[j])
         reached = now
-    runner = np.minimum(out[:, 0], out[:, 1])
+    runner = np.minimum(out[:, 0], out[:, 1],
+                        out=_out(ws, "nm.runner", (g, f), h.dtype))
     for i in range(2, m):
         np.minimum(runner, out[:, i], out=runner)
-    second = np.empty_like(top)
+    second = _buffer(ws, name + ".second", hn.shape, bool)
     seen = np.zeros((g, f), dtype=bool)
     for j in range(m):
         hit = (hn[j] == runner) > top[j]
@@ -273,18 +347,22 @@ class _ConvCache(NamedTuple):
     out: np.ndarray
 
 
-def _conv_forward(layers, specs, x, m: int, keep: bool, dense=_dense):
+def _conv_forward(layers, specs, x, m: int, keep: bool, dense=_dense,
+                  ws=None):
     """One graph conv: MLP1 once per node, the neighbor max, then MLP2 on
     [x, aggregate].  layers/specs are the conv's four dense layers; x has
-    shape (rows, l3), rows ordered (graph, node), m nodes a graph."""
+    shape (rows, l3), rows ordered (graph, node), m nodes a graph.  The
+    concatenation and the routing are keyed by the names of the layers
+    that read and produce them."""
     h1 = dense(x, layers[0], specs[0])
     h2 = dense(h1, layers[1], specs[1])
     rows, width = x.shape
-    comb = np.empty((rows, width + h2.shape[1]), dtype=x.dtype)
+    comb = _buffer(ws, specs[2].name + ".in", (rows, width + h2.shape[1]),
+                   x.dtype)
     comb[:, :width] = x
     route = _neighbor_max(h2.reshape(-1, m, h2.shape[1]),
                           comb.reshape(-1, m, comb.shape[1])[..., width:],
-                          keep)
+                          keep, ws, specs[1].name)
     g1 = dense(comb, layers[2], specs[2])
     out = dense(g1, layers[3], specs[3])
     cache = _ConvCache(x, h1, h2, route, comb, g1, out) if keep else None
@@ -301,12 +379,14 @@ class _GroupCache(NamedTuple):
 
 
 def _forward_group(params: GnnParams, h, power: float, keep: bool = False,
-                   dense=_dense):
+                   dense=_dense, ws=None):
     """Beams for a stack of graphs, one per trailing (M, N) matrix of h.
 
     All graphs share `params` and run as one row stack.  Returns (cache, w)
     with w of h's shape; the cache holds what the backward pass needs, and
-    is None unless keep.
+    is None unless keep.  A Workspace `ws` holds the concatenations and the
+    neighbor max's arrays, and with `ws.dense` as the layer the dense
+    outputs too; the cache then lives in it.
     """
     n = params.dims.n_antennas
     if h.shape[-1] != n:
@@ -317,8 +397,8 @@ def _forward_group(params: GnnParams, h, power: float, keep: bool = False,
     lay, plan = params.layers, layer_plan(params.dims)
     a1 = dense(x, lay[0], plan[0])
     a2 = dense(a1, lay[1], plan[1])
-    cc1, z1 = _conv_forward(lay[2:6], plan[2:6], a2, m, keep, dense)
-    cc2, z2 = _conv_forward(lay[6:10], plan[6:10], z1, m, keep, dense)
+    cc1, z1 = _conv_forward(lay[2:6], plan[2:6], a2, m, keep, dense, ws)
+    cc2, z2 = _conv_forward(lay[6:10], plan[6:10], z1, m, keep, dense, ws)
     out = dense(z2, lay[10], plan[10]).reshape(h.shape[:-1] + (-1,))
     y = out[..., :n] + 1j * out[..., n:2 * n]
     w = normalize_power(y, power)

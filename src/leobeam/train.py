@@ -38,10 +38,11 @@ import numpy as np
 
 from . import channel
 from .beamform import ZERO_POWER, BeamformerSet, pooled, rate_terms, unpooled
-from .gnn import (ArtifactError, FcLayer, GnnParams, atomic_write, csv_file,
-                  init_params, read_exact, read_params, scaled_dims,
-                  write_files, write_params, _dense, _ensure_finite,
-                  _forward_group, _power_scale)
+from .gnn import (ArtifactError, FcLayer, GnnParams, Workspace, atomic_write,
+                  csv_file, init_params, read_exact, read_params,
+                  scaled_dims, write_files, write_params, _contiguous,
+                  _dense, _ensure_finite, _forward_group, _out, _outs,
+                  _power_scale)
 
 logger = logging.getLogger(__name__)
 
@@ -153,38 +154,59 @@ def lr_at(step: int, lr0: float = 1e-3, decay: float = 0.995,
 # and at 5 to 18 rows its small-matrix kernels differ in the last bits.
 
 
-def _dense_backward(layer, x, post, gy, blocks, acc, want_gx: bool = True):
-    """Backward of post = relu(x @ w + b), or of the linear layer if post
-    is None.  Overwrites gy.  Adds dW, db of each row block of `blocks`, in
-    order, into the buffers `acc`; returns the input gradient if wanted."""
-    if post is not None:
-        gy *= post > 0
+def _relu_mask(post, ws):
+    """post > 0, the ReLU mask of the layer that produced post."""
+    return np.greater(post, 0, out=_out(ws, "relu", post.shape, bool))
+
+
+def _dense_backward(layer, x, gy, mask, blocks, acc, ws=None,
+                    want_gx: bool = True, x_relu: bool = True):
+    """Backward of y = x @ w + b, or of relu of it where `mask` marks
+    y > 0.  Overwrites gy.  Adds dW, db of each row block of `blocks`, in
+    order, into the buffers `acc`.  If wanted, returns the input gradient,
+    written over x, which nothing reads once this layer is done, and for a
+    ReLU output x (`x_relu`) the mask x > 0 of the layer before, taken
+    before x is overwritten."""
+    if mask is not None:
+        gy *= mask
     dw, db = acc
     for rows in blocks:
         g = gy[rows]
         dw += x[rows].T @ g
         db += g.sum(axis=0)
-    return gy @ layer.w.T if want_gx else None
+    if not want_gx:
+        return None
+    x_mask = _relu_mask(x, ws) if x_relu else None
+    return np.matmul(gy, layer.w.T, out=x), x_mask
 
 
-def _neighbor_max_backward(g_agg, route):
+def _neighbor_max_backward(g_agg, route, out=None, ws=None):
     """Gradient wrt h of gnn._neighbor_max, given g_agg of shape (G, M, F).
+    It is written to `out`, a contiguous array of g_agg's size, if given.
 
     The top node receives the sum of the other nodes' gradients, in node
     order; the runner-up receives the top node's.  The masks select terms
     by multiplication, which here is several times cheaper than np.where;
-    kept boolean, they take an eighth of the memory of float masks.
+    kept boolean, they take an eighth of the memory of float masks.  The
+    scratch comes from the forward's "nm" roles of the workspace `ws`.
     """
+    if out is None:
+        out = np.empty(g_agg.size, dtype=g_agg.dtype)
+    gh = out.reshape(g_agg.shape)
     if route is None:
-        return np.zeros_like(g_agg)
+        gh.fill(0.0)
+        return gh
     top, second = route
-    gn = np.ascontiguousarray(g_agg.transpose(1, 0, 2))
+    gn = _contiguous(ws, "nm", g_agg.transpose(1, 0, 2))
     # holds the masked terms first, and the result at the end
-    buf = np.empty(gn.size, dtype=gn.dtype)
-    picked = np.multiply(gn, top, out=buf.reshape(gn.shape))
+    picked = np.multiply(gn, top, out=out.reshape(gn.shape))
     gn -= picked
-    rest = gn[0] + gn[1]
-    at_top = picked[0] + picked[1]
+    shape = gn.shape[1:]
+    rest = np.add(gn[0], gn[1], out=_out(ws, "nm.runner", shape, gn.dtype))
+    # the forward's first prefix row is free by now
+    at_top = np.add(picked[0], picked[1],
+                    out=_outs(ws, "nm.prefix", len(gn) - 1, shape,
+                              gn.dtype)[0])
     for i in range(2, len(gn)):
         rest += gn[i]
         at_top += picked[i]
@@ -193,23 +215,29 @@ def _neighbor_max_backward(g_agg, route):
     gn += picked
     # masked-out products can be -0.0; a sum that starts from +0.0, as a
     # scatter into zeros does, never is
-    gh = buf.reshape(g_agg.shape)
     np.add(gn, 0.0, out=gh.transpose(1, 0, 2))
     return gh
 
 
-def _conv_backward(cache, layers, g, m: int, blocks, acc):
-    # one name for the running gradient, so each is freed once consumed
-    g = _dense_backward(layers[3], cache.g1, cache.out, g, blocks, acc[3])
-    g = _dense_backward(layers[2], cache.comb, cache.g1, g, blocks, acc[2])
+def _conv_backward(cache, layers, g, mask, m: int, blocks, acc, ws):
+    """Given the gradient g wrt the conv's output and that output's ReLU
+    mask, the same pair for the conv's input; both overwrite the cache."""
+    g, mask = _dense_backward(layers[3], cache.g1, g, mask, blocks, acc[3],
+                              ws)
+    g, _ = _dense_backward(layers[2], cache.comb, g, mask, blocks, acc[2],
+                           ws, x_relu=False)
     width_in = cache.x.shape[1]
     g_skip, g_agg = g[:, :width_in], g[:, width_in:]
+    mask = _relu_mask(cache.h2, ws)
     g = _neighbor_max_backward(g_agg.reshape(-1, m, g_agg.shape[1]),
-                               cache.route).reshape(g_agg.shape)
-    g = _dense_backward(layers[1], cache.h1, cache.h2, g, blocks, acc[1])
-    g = _dense_backward(layers[0], cache.x, cache.h1, g, blocks, acc[0])
+                               cache.route, cache.h2, ws).reshape(
+                                   cache.h2.shape)
+    g, mask = _dense_backward(layers[1], cache.h1, g, mask, blocks, acc[1],
+                              ws)
+    g, mask = _dense_backward(layers[0], cache.x, g, mask, blocks, acc[0],
+                              ws)
     g += g_skip
-    return g
+    return g, mask
 
 
 def _powernorm_backward(y, gw, power: float):
@@ -223,11 +251,14 @@ def _powernorm_backward(y, gw, power: float):
 
 
 def _backward_group(params: GnnParams, cache, gw, power: float, blocks,
-                    grads: GradientSet) -> None:
+                    grads: GradientSet, ws=None) -> None:
     """Adds the gradients of the row blocks `blocks` into grads.
 
     cache is `gnn._forward_group`'s; gw has shape (S, B, M, N), the loss
-    gradient wrt the group's beams.
+    gradient wrt the group's beams.  The pass runs in place: each layer's
+    input gradient overwrites its input in the cache, once that input's
+    ReLU mask is taken, so the cache is used up.  The masks come from the
+    workspace `ws` if given.
     """
     gy = _powernorm_backward(cache.y, gw, power)
     n = params.dims.n_antennas
@@ -237,12 +268,15 @@ def _backward_group(params: GnnParams, cache, gw, power: float, blocks,
     gout[..., :n] = gy.real
     gout[..., n:2 * n] = gy.imag
     lay, acc = params.layers, grads.layers
-    g = _dense_backward(lay[10], cache.z2, None,
-                        gout.reshape(len(cache.z2), -1), blocks, acc[10])
-    g = _conv_backward(cache.convs[1], lay[6:10], g, m, blocks, acc[6:10])
-    g = _conv_backward(cache.convs[0], lay[2:6], g, m, blocks, acc[2:6])
-    g = _dense_backward(lay[1], cache.a1, cache.a2, g, blocks, acc[1])
-    _dense_backward(lay[0], cache.feats, cache.a1, g, blocks, acc[0],
+    g, mask = _dense_backward(lay[10], cache.z2,
+                              gout.reshape(len(cache.z2), -1), None, blocks,
+                              acc[10], ws)
+    g, mask = _conv_backward(cache.convs[1], lay[6:10], g, mask, m, blocks,
+                             acc[6:10], ws)
+    g, mask = _conv_backward(cache.convs[0], lay[2:6], g, mask, m, blocks,
+                             acc[2:6], ws)
+    g, mask = _dense_backward(lay[1], cache.a1, g, mask, blocks, acc[1], ws)
+    _dense_backward(lay[0], cache.feats, g, mask, blocks, acc[0],
                     want_gx=False)
 
 
@@ -279,11 +313,12 @@ def _params_list(params) -> list:
 
 
 def _forward_beams(params, batch, sys: SystemParams, keep: bool,
-                   dense=_dense):
+                   dense=_dense, workspaces=None):
     """Scaled channels h/s, beams, and per parameter set in use (the set,
     its satellites' index, its forward cache if keep).  The one place that
     assigns satellites to sets: set i of P serves satellites i, i + P, ...,
-    which run stacked through one pass with `dense` as the layer."""
+    which run stacked through one pass with `dense` as the layer, or with
+    `workspaces[i].dense` if a list of P gnn.Workspace is given."""
     params_list = _params_list(params)
     h = np.asarray(batch)
     if h.ndim != 4:
@@ -300,39 +335,66 @@ def _forward_beams(params, batch, sys: SystemParams, keep: bool,
     w = np.empty_like(hs)
     for i, p in enumerate(params_list[:k]):
         sats = np.s_[:, i::n_sets]
+        ws = None if workspaces is None else workspaces[i]
         cache, wg = _forward_group(p, hs[sats].transpose(1, 0, 2, 3),
-                                   sys.power, keep, dense)
+                                   sys.power, keep,
+                                   dense if ws is None else ws.dense, ws)
         groups.append((p, sats, cache))
         w[sats] = wg.transpose(1, 0, 2, 3)
     return hs, w, groups
 
 
-def _engine(params, batch, sys: SystemParams, want_grads: bool = True):
-    """Mean WSR (the loss is its negative) and, if wanted, gradients."""
-    hs, w, groups = _forward_beams(params, batch, sys, want_grads)
-    b, _, m, _ = hs.shape
+def _rate_objective(hs, w, sys: SystemParams):
+    """Mean WSR of beams w on scaled channels hs, and the rate terms."""
     sigma2 = sys.sigma2 / sys.input_scale ** 2
-    weights = sys.weight_vector()
     c, sinr, intf, rates = rate_terms(hs, w, sigma2, sys.bandwidth)
-    mean_wsr = float((rates @ weights).mean())
-    if not want_grads:
-        return mean_wsr, None
+    return float((rates @ sys.weight_vector()).mean()), (c, sinr, intf)
 
-    gw = _wsr_backward(hs, c, sinr, intf, weights, sys.bandwidth, b)
+
+def _engine(params, batch, sys: SystemParams, workspaces=None):
+    """Mean WSR (the loss is its negative) and gradients.  `workspaces`
+    as in `_forward_beams`; the pass then allocates only small arrays."""
+    hs, w, groups = _forward_beams(params, batch, sys, True,
+                                   workspaces=workspaces)
+    b, _, m, _ = hs.shape
+    mean_wsr, (c, sinr, intf) = _rate_objective(hs, w, sys)
+    gw = _wsr_backward(hs, c, sinr, intf, sys.weight_vector(), sys.bandwidth,
+                       b)
     grads = [_zero_grads(p) for p in _params_list(params)]
     rows = b * m
-    for (p, sats, cache), g in zip(groups, grads):
+    for i, ((p, sats, cache), g) in enumerate(zip(groups, grads)):
         gs = gw[sats].transpose(1, 0, 2, 3)
         blocks = [slice(j * rows, (j + 1) * rows) for j in range(len(gs))]
-        _backward_group(p, cache, gs, sys.power, blocks, g)
+        _backward_group(p, cache, gs, sys.power, blocks, g,
+                        None if workspaces is None else workspaces[i])
     if not isinstance(params, (list, tuple)):
         grads = grads[0]
     return mean_wsr, grads
 
 
+def _mean_wsr(params, batch, sys: SystemParams, chunk=None,
+              workspaces=None) -> float:
+    """Mean WSR of the network's beams over the batch.
+
+    The forward runs in pieces of `chunk` samples if given, the remainder
+    joining the last piece, and the rate objective once on the joined
+    beams.  Each sample's beams keep their bits wherever the BLAS computes
+    rows independently of the row count (see above), so the mean equals
+    the whole-batch one bit for bit.
+    """
+    h = np.asarray(batch)
+    size = chunk or len(h) or 1
+    edges = [i * size for i in range(max(1, len(h) // size))] + [len(h)]
+    parts = [_forward_beams(params, h[lo:hi], sys, False,
+                            workspaces=workspaces)[:2]
+             for lo, hi in zip(edges, edges[1:])]
+    hs, w = (np.concatenate(arrays) for arrays in zip(*parts))
+    return _rate_objective(hs, w, sys)[0]
+
+
 def batch_loss(params, batch, sys: SystemParams) -> float:
     """Negative mean weighted sum rate over the batch."""
-    return -_engine(params, batch, sys, want_grads=False)[0]
+    return -_mean_wsr(params, batch, sys)
 
 
 def gradients(params, batch, sys: SystemParams):
@@ -379,6 +441,26 @@ def init_adam_state(params: GnnParams) -> AdamState:
                      t=0)
 
 
+def _adam_update(x, g, m, v, lr, beta1, beta2, eps, c1, c2):
+    """New (x, m, v) of one array: m = beta1 m + (1 - beta1) g, v = beta2 v
+    + (1 - beta2) g^2, x - lr (m / c1) / (sqrt(v / c2) + eps), in that
+    order of operations, each result formed in place on its first
+    temporary; the inputs stay untouched."""
+    m = beta1 * m
+    m += (1 - beta1) * g
+    v = beta2 * v
+    g2 = g ** 2
+    g2 *= 1 - beta2
+    v += g2
+    step = m / c1
+    step *= lr
+    den = v / c2
+    np.sqrt(den, out=den)
+    den += eps
+    step /= den
+    return np.subtract(x, step, out=step), m, v
+
+
 def adam_step(params: GnnParams, grads: GradientSet, state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8):
@@ -389,12 +471,10 @@ def adam_step(params: GnnParams, grads: GradientSet, state: AdamState,
     new_layers, new_m, new_v = [], [], []
     for layer, (dw, db), (mw, mb), (vw, vb) in zip(
             params.layers, grads.layers, state.m, state.v):
-        mw = beta1 * mw + (1 - beta1) * dw
-        mb = beta1 * mb + (1 - beta1) * db
-        vw = beta2 * vw + (1 - beta2) * dw ** 2
-        vb = beta2 * vb + (1 - beta2) * db ** 2
-        w = layer.w - lr * (mw / c1) / (np.sqrt(vw / c2) + eps)
-        b = layer.b - lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+        w, mw, vw = _adam_update(layer.w, dw, mw, vw, lr, beta1, beta2, eps,
+                                 c1, c2)
+        b, mb, vb = _adam_update(layer.b, db, mb, vb, lr, beta1, beta2, eps,
+                                 c1, c2)
         new_layers.append(FcLayer(w=w, b=b))
         new_m.append((mw, mb))
         new_v.append((vw, vb))
@@ -432,6 +512,11 @@ def train(cfg: TrainConfig) -> TrainResult:
     the channel's deterministic amplitudes, overriding system.input_scale.
     Physical gains sit around 1e-7, which would starve every ReLU without
     this rescale; the rate objective is exactly invariant under it.
+
+    Memory is bounded by the batch size, not by the test set: the held-out
+    set is evaluated in batch_size pieces (`_mean_wsr`), and every step and
+    piece reuses the arrays of one gnn.Workspace per parameter set, which
+    is dropped when training returns.
     """
     sys = cfg.system
     if cfg.auto_scale:
@@ -453,6 +538,7 @@ def train(cfg: TrainConfig) -> TrainResult:
     rng_train = np.random.Generator(np.random.Philox(s_train))
 
     states = [init_adam_state(p) for p in params_list]
+    workspaces = [Workspace() for _ in params_list]
     steps_per_epoch = cfg.samples_per_epoch // cfg.batch_size
     history: list[EpochStats] = []
     best_test = -np.inf
@@ -470,7 +556,7 @@ def train(cfg: TrainConfig) -> TrainResult:
                 cfg.chan, cfg.batch_size, sys.k_sats, sys.m_users,
                 sys.n_antennas, rng_train)
             lr = lr_at(step, cfg.lr0, cfg.lr_decay, cfg.lr_decay_every)
-            mean_wsr, grads = _engine(params_list, h, sys)
+            mean_wsr, grads = _engine(params_list, h, sys, workspaces)
             if not np.isfinite(mean_wsr):
                 raise TrainingDivergedError(
                     f"loss became non-finite at step {step}",
@@ -482,7 +568,8 @@ def train(cfg: TrainConfig) -> TrainResult:
             wsr_sum += mean_wsr
             step += 1
         train_wsr = wsr_sum / steps_per_epoch
-        test_wsr, _ = _engine(params_list, h_test, sys, want_grads=False)
+        test_wsr = _mean_wsr(params_list, h_test, sys, cfg.batch_size,
+                             workspaces)
         if not np.isfinite(test_wsr):
             raise TrainingDivergedError(
                 f"test evaluation non-finite after epoch {epoch}",

@@ -976,6 +976,28 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme,where", [
+        ("zf", "satellite 0"), ("zf_global", "stacked system"),
+        ("mmse", None)])
+    def test_fewer_antennas_than_users(self, tmp_path, capsys, scheme,
+                                       where):
+        # N < M per satellite, and K*N < M on the stacked system: zero
+        # forcing has no solution; the regularized inversion still has one
+        p = tmp_path / "wide.ini"
+        p.write_text("[system]\nk_sats = 1\nm_users = 2\nn_antennas = 1\n")
+        out = tmp_path / "out"
+        rc = cli.main(["--config", str(p), "--out", str(out), "eval",
+                       "--schemes", scheme, "--size", "4"])
+        err = capsys.readouterr().err
+        if where is None:
+            assert rc == 0, err
+            return
+        assert rc == 3
+        assert err == (f"numeric failure: rank-deficient channel matrix at "
+                       f"sample 0, {where}: zero-forcing requires linearly "
+                       "independent user channels\n")
+        assert not out.exists()
+
     def test_quant_exit_zero(self, micro, capsys):
         rc = cli.main(["--config", micro["cfg_path"], "--out", micro["out"],
                        "quant", "--size", "2"])

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,50 @@ class TestAdam:
         # constant gradient: both steps move the same direction
         assert np.all(d1 > 0) and np.all(d2 > 0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_update_matches_formula_bytes(self, dtype):
+        # the expression form of the update, kept as the oracle: the
+        # in-place one runs the same operations, so every byte agrees
+        def oracle(params, grads, state, lr, beta1=0.9, beta2=0.999,
+                   eps=1e-8):
+            t = state.t + 1
+            c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+            layers, ms, vs = [], [], []
+            for layer, (dw, db), (mw, mb), (vw, vb) in zip(
+                    params.layers, grads.layers, state.m, state.v):
+                mw = beta1 * mw + (1 - beta1) * dw
+                mb = beta1 * mb + (1 - beta1) * db
+                vw = beta2 * vw + (1 - beta2) * dw ** 2
+                vb = beta2 * vb + (1 - beta2) * db ** 2
+                layers.append(gnn.FcLayer(
+                    w=layer.w - lr * (mw / c1) / (np.sqrt(vw / c2) + eps),
+                    b=layer.b - lr * (mb / c1) / (np.sqrt(vb / c2) + eps)))
+                ms.append((mw, mb))
+                vs.append((vw, vb))
+            return (gnn.GnnParams(dims=params.dims, layers=layers),
+                    train.AdamState(m=ms, v=vs, t=t))
+
+        def arrays(params, state):
+            return [a.tobytes() for layer in params.layers
+                    for a in (layer.w, layer.b)] + [
+                a.tobytes() for pairs in (state.m, state.v)
+                for pair in pairs for a in pair]
+
+        gen = np.random.Generator(np.random.Philox(27))
+        params = gnn.init_params(TINY, gen, dtype=dtype)
+        got = want = (params, train.init_adam_state(params))
+        for lr in (1e-3, 3e-4, 1e-2):
+            grads = train.GradientSet(layers=[
+                (gen.normal(size=l.w.shape).astype(dtype),
+                 gen.normal(size=l.b.shape).astype(dtype))
+                for l in params.layers])
+            inputs, before = got, arrays(*got)
+            got = train.adam_step(got[0], grads, got[1], lr)
+            want = oracle(want[0], grads, want[1], lr)
+            assert arrays(*got) == arrays(*want)
+            assert arrays(*inputs) == before    # inputs stay untouched
+            assert got[0].layers[0].w.dtype == dtype
+
     def test_lr_schedule_boundaries(self):
         assert train.lr_at(0) == 1e-3
         assert train.lr_at(99) == 1e-3
@@ -349,6 +394,81 @@ class TestNeighborMax:
         t_idx, s_idx = top.argmax(axis=0), second.argmax(axis=0)
         nodes = np.arange(m)[:, None, None]
         assert np.array_equal(np.where(nodes == t_idx, s_idx, t_idx), src)
+
+
+def desk_shaped(tied=True, dtype=np.float64, seed=41):
+    """Networks and system of the desk config (K = 2, M = N = 4, scale 8),
+    with nonzero biases so the ReLUs are mixed."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    dims = gnn.scaled_dims(4, 8)
+    params = [gnn.init_params(dims, gen, dtype=dtype)
+              for _ in range(1 if tied else 2)]
+    for p in params:
+        for lay in p.layers:
+            lay.b[:] = gen.normal(scale=0.1, size=lay.b.shape)
+    return params, train.SystemParams(2, 4, 4, power=1.0, sigma2=0.5), gen
+
+
+def grad_bytes(grads):
+    return [a.tobytes() for g in grads for pair in g.layers for a in pair]
+
+
+class TestBoundedMemory:
+    """The test set is evaluated in chunks and every pass of a training run
+    reuses one Workspace; neither may move a bit."""
+
+    @pytest.mark.parametrize("tied", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_chunked_eval_equals_whole_stack(self, tied, dtype):
+        # 230 samples in chunks of 50: the remainder of 30 joins the last
+        # chunk, so no chunk runs at the few rows where BLAS kernels differ
+        params, sysp, gen = desk_shaped(tied, dtype)
+        h = tiny_batch(gen, count=230, k=2, m=4, n=4)
+        whole = train._mean_wsr(params, h, sysp)
+        ws = [gnn.Workspace() for _ in params]
+        for chunk in (50, 50, 230, 500):   # the repeat reuses the buffers
+            for workspaces in (None, ws):
+                got = train._mean_wsr(params, h, sysp, chunk, workspaces)
+                assert got.hex() == whole.hex()
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_engine_workspace_keeps_every_bit(self, tied):
+        # a buffer overwritten while still read would show in the loss or
+        # a gradient, in a later step, or in the evaluation that reuses the
+        # training buffers
+        params, sysp, gen = desk_shaped(tied)
+        ws = [gnn.Workspace() for _ in params]
+        states = [train.init_adam_state(p) for p in params]
+        for _ in range(3):
+            h = tiny_batch(gen, count=50, k=2, m=4, n=4)
+            want = train._engine(params, h, sysp)
+            got = train._engine(params, h, sysp, ws)
+            assert got[0].hex() == want[0].hex()
+            assert grad_bytes(got[1]) == grad_bytes(want[1])
+            for i, g in enumerate(want[1]):
+                params[i], states[i] = train.adam_step(params[i], g,
+                                                       states[i], 1e-2)
+        h = tiny_batch(gen, count=120, k=2, m=4, n=4)
+        assert (train._mean_wsr(params, h, sysp, 50, ws).hex()
+                == train._mean_wsr(params, h, sysp).hex())
+
+    def test_warm_desk_step_allocates_little(self):
+        # a desk step (batch 200) allocates about 18.5 MB without reusing
+        # buffers; with the workspace only small arrays remain
+        params, sysp, gen = desk_shaped()
+        h = tiny_batch(gen, count=200, k=2, m=4, n=4)
+        ws = [gnn.Workspace()]
+        for _ in range(2):
+            train._engine(params, h, sysp, ws)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train._engine(params, h, sysp, ws)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert ws[0].nbytes <= 18.5e6
 
 
 class TestInference:
