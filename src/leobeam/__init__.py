@@ -15,7 +15,8 @@ __version__ = "0.1.0"
 
 # Revision of the numerics: raised whenever a change moves the bits of the
 # channel, rate or training arithmetic, so cached results can tell.  2: numpy
-# Bessel functions J1/J3, log1p rates, matmul rate gradient.
-NUMERICS = 2
+# Bessel functions J1/J3, log1p rates, matmul rate gradient.  3: training in
+# float32.
+NUMERICS = 3
 
 from . import accel, beamform, channel, experiments, gnn, train  # noqa: F401

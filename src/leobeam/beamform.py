@@ -249,15 +249,28 @@ def _mmse(hh: np.ndarray, power, sigma2: float, scheme: str):
 
 # --- local schemes (each satellite uses only its own channels) --------------
 
+def _row_prescaled(hh: np.ndarray) -> np.ndarray:
+    """hh with each row (last axis) scaled by the power of two 2^-e that
+    brings its largest |re| or |im| into [0.5, 1), e from `np.frexp`.  The
+    scaling is exact, so a row's norm can be taken without its squares
+    underflowing or overflowing; an all-zero row stays zero."""
+    x = np.ascontiguousarray(hh, dtype=np.result_type(hh, 1.0))
+    parts = x.view(x.real.dtype)   # re and im interleaved along the row
+    _, e = np.frexp(np.abs(parts).max(axis=-1, keepdims=True))
+    return np.ldexp(parts, -e).view(x.dtype)
+
+
 def mrt_local(h, power) -> BeamformerSet:
-    """Match each beam to its own channel: w[k,m] = sqrt(P/M) h[k,m]/|h[k,m]|."""
-    hh = _tensor(h, "channel")
+    """Match each beam to its own channel: w[k,m] = sqrt(P/M) h[k,m]/|h[k,m]|.
+
+    The row is prescaled (`_row_prescaled`), so a weak channel gets a full
+    beam at any scale; only an all-zero row gives a zero beam."""
+    hh = _row_prescaled(_tensor(h, "channel"))
     p = _budget(power, hh.ndim)
     m_users = hh.shape[-2]
     norms = np.linalg.norm(hh, axis=-1)
-    dead = norms**2 < ZERO_POWER
-    ww = np.sqrt(p / m_users) * hh / np.where(dead, 1.0, norms)[..., None]
-    ww[..., dead, :] = 0.0
+    ww = np.sqrt(p / m_users) * hh / np.where(norms == 0, 1.0,
+                                              norms)[..., None]
     return BeamformerSet(w=ww, power_budget=power, scope="per_satellite")
 
 

@@ -166,7 +166,6 @@ class ExperimentConfig:
     patience: int = _key("train", 10)
     min_rel_improve: float = _key("train", 1e-3)
     tied: bool = _key("train", True)
-    use_float32: bool = _key("train", False)
     auto_scale: bool = _key("train", True)
     sa_size: int = _key("accel", 16)
     bus_bytes_per_cycle: int = _key("accel", 8)

@@ -12,6 +12,10 @@ The neighbor max gradient goes to the node that supplied each aggregate:
 the top node collects the other nodes' gradients, the runner-up the top
 node's.
 
+`train` runs all of this in float32; the engine itself follows the dtype
+of the parameters it is given, so float64 parameters, such as a loaded
+checkpoint's, run in float64.
+
 By default one parameter set is shared by all satellites; they run stacked
 through one pass, and their gradients accumulate in satellite order into
 the same buffers.  Setting tied=False trains one parameter set per
@@ -30,6 +34,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import logging
+import math
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -40,9 +45,9 @@ from . import channel
 from .beamform import ZERO_POWER, BeamformerSet, pooled, rate_terms, unpooled
 from .gnn import (ArtifactError, FcLayer, GnnParams, Workspace, atomic_write,
                   csv_file, init_params, read_exact, read_params,
-                  scaled_dims, write_files, write_params, _contiguous,
-                  _dense, _ensure_finite, _forward_group, _out, _outs,
-                  _power_scale)
+                  scaled_dims, write_files, write_params, _buffer,
+                  _contiguous, _dense, _ensure_finite, _forward_group, _out,
+                  _outs, _power_scale)
 
 logger = logging.getLogger(__name__)
 
@@ -109,7 +114,6 @@ class TrainConfig:
     patience: int = 10
     min_rel_improve: float = 1e-3
     tied: bool = True
-    use_float32: bool = False
     auto_scale: bool = True
     seed: int = 0
 
@@ -149,9 +153,13 @@ def lr_at(step: int, lr0: float = 1e-3, decay: float = 0.995,
 # bias gradients are still formed per satellite row block and summed in
 # satellite order.  The results equal those of running the satellites one
 # at a time bit for bit wherever the BLAS computes each output row
-# independently of the row count.  OpenBLAS does so at the desk shapes
-# (4, 800 and 8000 rows per satellite); at one row, where numpy calls gemv,
-# and at 5 to 18 rows its small-matrix kernels differ in the last bits.
+# independently of the row count.  In float64 OpenBLAS does so at the desk
+# shapes (4, 800 and 8000 rows per satellite); at one row, where numpy calls
+# gemv, and at 5 to 18 rows its small-matrix kernels differ in the last
+# bits.  In float32, the precision `train` runs in, its sgemm of the narrow
+# 64 -> 8 out_fc layer depends on the row count at the desk shapes too, so
+# there a stacked pass agrees with per-satellite passes only to rounding.
+# Every pass is deterministic for a fixed row count.
 
 
 def _relu_mask(post, ws):
@@ -282,8 +290,12 @@ def _backward_group(params: GnnParams, cache, gw, power: float, blocks,
 
 def _wsr_backward(h, c, sinr, intf, weights, bandwidth: float, batch: int):
     m = sinr.shape[1]
-    # gs = d loss / d sinr for loss = -(1/batch) sum_b sum_m w_m R_m
-    gs = -(weights[None, :] / batch) * bandwidth / (np.log(2.0) * (1.0 + sinr))
+    # gs = d loss / d sinr for loss = -(1/batch) sum_b sum_m w_m R_m, in the
+    # precision of sinr: float64 weights or a numpy float64 scalar would
+    # promote the whole backward pass of float32 parameters to float64
+    weights = weights.astype(sinr.dtype)
+    gs = -(weights[None, :] / batch) * bandwidth / (math.log(2.0)
+                                                     * (1.0 + sinr))
     q = np.repeat((-gs * sinr / intf)[:, :, None], m, axis=2)
     idx = np.arange(m)
     q[:, idx, idx] = gs / intf
@@ -312,13 +324,20 @@ def _params_list(params) -> list:
     return list(params) if isinstance(params, (list, tuple)) else [params]
 
 
+def _complex_dtype(params) -> np.dtype:
+    """The complex dtype of the parameters' precision."""
+    return np.result_type(_params_list(params)[0].layers[0].w, np.complex64)
+
+
 def _forward_beams(params, batch, sys: SystemParams, keep: bool,
-                   dense=_dense, workspaces=None):
+                   dense=_dense, workspaces=None, out=None):
     """Scaled channels h/s, beams, and per parameter set in use (the set,
     its satellites' index, its forward cache if keep).  The one place that
     assigns satellites to sets: set i of P serves satellites i, i + P, ...,
     which run stacked through one pass with `dense` as the layer, or with
-    `workspaces[i].dense` if a list of P gnn.Workspace is given."""
+    `workspaces[i].dense` if a list of P gnn.Workspace is given.  The
+    channels and beams are written into the pair of arrays `out` if given,
+    else into new ones, in the parameters' complex dtype."""
     params_list = _params_list(params)
     h = np.asarray(batch)
     if h.ndim != 4:
@@ -327,12 +346,13 @@ def _forward_beams(params, batch, sys: SystemParams, keep: bool,
     if (k, m, n) != (sys.k_sats, sys.m_users, sys.n_antennas):
         raise ValueError(f"channel shape {(k, m, n)} does not match system "
                          f"{(sys.k_sats, sys.m_users, sys.n_antennas)}")
-    f64 = params_list[0].layers[0].w.dtype == np.float64
-    hs = h / sys.input_scale
-    hs = hs.astype(np.complex128 if f64 else np.complex64)
+    if out is None:
+        dtype = _complex_dtype(params_list)
+        out = np.empty(h.shape, dtype), np.empty(h.shape, dtype)
+    hs, w = out
+    hs[...] = h / sys.input_scale
     n_sets = len(params_list)
     groups = []
-    w = np.empty_like(hs)
     for i, p in enumerate(params_list[:k]):
         sats = np.s_[:, i::n_sets]
         ws = None if workspaces is None else workspaces[i]
@@ -377,18 +397,23 @@ def _mean_wsr(params, batch, sys: SystemParams, chunk=None,
     """Mean WSR of the network's beams over the batch.
 
     The forward runs in pieces of `chunk` samples if given, the remainder
-    joining the last piece, and the rate objective once on the joined
-    beams.  Each sample's beams keep their bits wherever the BLAS computes
-    rows independently of the row count (see above), so the mean equals
-    the whole-batch one bit for bit.
+    joining the last piece, each writing its scaled channels and beams into
+    one pair of batch-sized arrays (from the first workspace, if given),
+    and the rate objective runs once on them.  The mean is deterministic
+    for a fixed chunk size.  It equals the whole-batch one bit for bit
+    only where the BLAS computes rows independently of the row count (see
+    above): in float64 at the desk shapes, but not in float32.
     """
     h = np.asarray(batch)
     size = chunk or len(h) or 1
     edges = [i * size for i in range(max(1, len(h) // size))] + [len(h)]
-    parts = [_forward_beams(params, h[lo:hi], sys, False,
-                            workspaces=workspaces)[:2]
-             for lo, hi in zip(edges, edges[1:])]
-    hs, w = (np.concatenate(arrays) for arrays in zip(*parts))
+    ws = None if workspaces is None else workspaces[0]
+    dtype = _complex_dtype(params)
+    hs, w = (_buffer(ws, role, h.shape, dtype) for role in ("eval.h",
+                                                            "eval.w"))
+    for lo, hi in zip(edges, edges[1:]):
+        _forward_beams(params, h[lo:hi], sys, False, workspaces=workspaces,
+                       out=(hs[lo:hi], w[lo:hi]))
     return _rate_objective(hs, w, sys)[0]
 
 
@@ -513,6 +538,11 @@ def train(cfg: TrainConfig) -> TrainResult:
     Physical gains sit around 1e-7, which would starve every ReLU without
     this rescale; the rate objective is exactly invariant under it.
 
+    Training runs in float32: the parameters, the forward and backward
+    passes, the rate objective, Adam and the test evaluation.  The returned
+    parameters are float32; a checkpoint stores them as float64, an exact
+    upcast, so inference reads the trained values unchanged.
+
     Memory is bounded by the batch size, not by the test set: the held-out
     set is evaluated in batch_size pieces (`_mean_wsr`), and every step and
     piece reuses the arrays of one gnn.Workspace per parameter set, which
@@ -527,8 +557,7 @@ def train(cfg: TrainConfig) -> TrainResult:
     rng_init = np.random.Generator(np.random.Philox(s_init))
     dims = scaled_dims(sys.n_antennas, cfg.scale_factor)
     n_models = 1 if cfg.tied else sys.k_sats
-    dtype = np.float32 if cfg.use_float32 else np.float64
-    params_list = [init_params(dims, rng_init, dtype=dtype)
+    params_list = [init_params(dims, rng_init, dtype=np.float32)
                    for _ in range(n_models)]
 
     rng_test = np.random.Generator(np.random.Philox(s_test))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leobeam import beamform
 
@@ -139,6 +140,21 @@ class TestMrt:
         rep = beamform.wsr(h, w, sigma2, bandwidth=1.0)
         want = math.log2(1 + power * np.linalg.norm(h[0, 0]) ** 2 / sigma2)
         assert rep.weighted_sum == pytest.approx(want, rel=1e-10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(k=st.integers(1, 3), m=st.integers(1, 4), n=st.integers(1, 4),
+           e=st.integers(-900, 900), seed=st.integers(0, 2 ** 32 - 1))
+    def test_power_of_two_scaling_keeps_every_bit(self, k, m, n, e, seed):
+        # the norm is taken on a prescaled row, so neither a tiny nor a
+        # huge channel loses its beam to underflow or overflow
+        h = rand_channel(np.random.Generator(np.random.Philox(seed)), k, m,
+                         n)
+        scaled = np.ldexp(h.real, e) + 1j * np.ldexp(h.imag, e)
+        for power in (2.0, np.array([0.5, 3.0])):
+            want = beamform.mrt_local(h, power).w
+            assert beamform.mrt_local(scaled, power).w.tobytes() == \
+                want.tobytes()
 
 
 class TestZf:

@@ -216,12 +216,12 @@ class TestConfigLoading:
         # artifacts carry this hash; it covers the flat field names
         desk = load_config(os.path.join(REPO, "configs", "desk.ini"))
         default = load_config(os.path.join(REPO, "configs", "default.ini"))
-        assert desk.config_hash() == "f6d05bccf07fcf06"
-        assert default.config_hash() == "f0c76b9e7b740f91"
-        assert load_config(None).config_hash() == "f0c76b9e7b740f91"
+        assert desk.config_hash() == "6d43fc4e6425eac8"
+        assert default.config_hash() == "636b7dde03cce425"
+        assert load_config(None).config_hash() == "636b7dde03cce425"
         # the test cache key of the desk training
         key = hashlib.sha256(repr(desk.train_config()).encode()).hexdigest()
-        assert key[:16] == "70c0dec02a37261a"
+        assert key[:16] == "75bf2bf842b7f7cb"
 
     def test_reference_file_lists_every_key(self):
         path = os.path.join(REPO, "configs", "default.ini")
@@ -411,9 +411,17 @@ class TestBudgetAxis:
         h[1, 0, 2] = 1e-20
         h[0, 1] = 1e-20
         budgets = np.array([0.5, 2.0])
+        # MRT zeroes no weak channel: every beam gets the budget's share
         mrt = beamform.mrt_local(h, budgets).w
-        assert np.all(mrt[:, 1, 0, 2] == 0) and np.all(mrt[:, 0, 1] == 0)
-        assert np.all(mrt[:, 1, 0, :2] != 0)
+        np.testing.assert_allclose(
+            np.sum(np.abs(mrt) ** 2, axis=-1),
+            np.broadcast_to(budgets[:, None, None, None] / 3,
+                            mrt.shape[:-1]), rtol=1e-14)
+        # only an all-zero one
+        dead = h.copy()
+        dead[1, 1, 0] = 0.0
+        mrt = beamform.mrt_local(dead, budgets).w
+        assert np.all(mrt[:, 1, 1, 0] == 0) and np.all(mrt[:, 1, 1, 1:] != 0)
         scaled = beamform._rescale(np.stack([h, h]),
                                    beamform._budget(budgets, h.ndim))
         assert np.all(scaled[:, 0, 1] == 0) and np.all(scaled[:, 1, 1] != 0)
@@ -636,11 +644,13 @@ QUANT_INI = MICRO_INI.replace("k_sats = 1", "k_sats = 2") \
     .replace("epochs = 2", "epochs = 1")
 
 # SHA-256 of quant.csv (8 samples) for a tied QUANT_INI network.  Taken at
-# numerics revision 2 (leobeam.NUMERICS), which moved the channel and rate
-# bits; revision 1 gave
+# numerics revision 3 (leobeam.NUMERICS), which trains in float32 and
+# dropped [train] use_float32 from the config hash; revision 2 gave
+# cc215f7fa2f5336255cbb6dbc7503155b63868c927c52022cad4580d20bddef4 and
+# revision 1
 # 98ed4279f95fa315f92f6d4232cd2b60d9ff786c92e868c8f4df8629ffbd9507
 QUANT_CSV_SHA256 = \
-    "cc215f7fa2f5336255cbb6dbc7503155b63868c927c52022cad4580d20bddef4"
+    "8abd3ef4fef1c702f8a703fd65483f68cb7fbb4096cf7d334786c16884b0da25"
 
 
 def train_and_quant(tmp_path, text):
@@ -1202,6 +1212,18 @@ class TestCliContract:
                     except ValueError:
                         continue
                     assert math.isfinite(v), (name, line)
+
+    def test_weak_channel_gives_positive_mrt_rate(self, tmp_path, capsys):
+        # at 1e20 Hz the path loss puts |h|^2 near 1e-40; MRT used to zero
+        # every such beam and report a mean WSR of 0.0 with exit 0
+        (tmp_path / "c.ini").write_text("[system]\ncarrier_freq_hz = 1e20\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(tmp_path / "c.ini"), "--out",
+                         str(out), "eval", "--schemes", "mrt_local",
+                         "--size", "8"]) == 0
+        rows = (out / "eval_summary.csv").read_text().splitlines()
+        assert rows[2].split(",")[0] == "mrt_local"
+        assert float(rows[2].split(",")[2]) > 0.0
 
 
 class TestSvgPlot:

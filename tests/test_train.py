@@ -36,6 +36,18 @@ def tiny_chan():
         fading=channel.FadingParams(0.063, 2.0, 8.97e-4))
 
 
+def kink_pattern(params, batch, sysp) -> bytes:
+    """Every ReLU's sign and every neighbor-max route of the forward pass:
+    the loss is smooth in the parameters while these stay the same."""
+    pattern = []
+    for _, _, cache in train._forward_beams(params, batch, sysp, True)[2]:
+        pattern += [cache.a1 > 0, cache.a2 > 0]
+        for conv in cache.convs:
+            pattern += [conv.h1 > 0, conv.h2 > 0, conv.g1 > 0, conv.out > 0,
+                        *(conv.route or ())]
+    return b"".join(p.tobytes() for p in pattern)
+
+
 class TestGradients:
     def test_finite_difference_agreement(self):
         self.check_finite_differences(k=2, m=2)
@@ -68,6 +80,77 @@ class TestGradients:
                 an = garr[idx]
                 if abs(fd) > 1e-10 or abs(an) > 1e-10:
                     assert abs(fd - an) / max(abs(fd), abs(an)) <= 1e-5
+
+    # float32 against float64 gradients, relative error of each layer's
+    # (dW, db) in norm: measured up to 9e-6 on the ten hidden layers and
+    # 5.5e-5 on out_fc over 400 random draws
+    FLOAT32_RTOL = (1e-4,) * 10 + (5e-4,)
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(k=st.integers(1, 3), m=st.integers(1, 4), n=st.integers(1, 3),
+           tied=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_shapes_against_differences_and_float64(self, k, m, n,
+                                                           tied, seed):
+        gen = np.random.Generator(np.random.Philox(seed))
+        dims = gnn.scaled_dims(n, 32)
+        sets = [gnn.init_params(dims, gen) for _ in range(1 if tied else k)]
+        for p in sets:   # nonzero biases keep the ReLUs mixed
+            for lay in p.layers:
+                lay.b[:] = gen.normal(scale=0.1, size=lay.b.shape)
+        sysp = tiny_system(k=k, m=m, n=n)
+        batch = tiny_batch(gen, k=k, m=m, n=n)
+
+        def net(ps):
+            return ps[0] if tied else ps
+
+        def probe(arr, idx, value):
+            # the loss and the kinks around it at arr[idx] = value
+            orig, arr[idx] = arr[idx], value
+            loss = train.batch_loss(net(sets), batch, sysp)
+            kinks = kink_pattern(net(sets), batch, sysp)
+            arr[idx] = orig
+            return loss, kinks
+
+        grads = train._params_list(train.gradients(net(sets), batch, sysp))
+        step = 1e-5
+        here = kink_pattern(net(sets), batch, sysp)
+        skipped = 0
+        for p, g in zip(sets, grads):
+            for lay, pair in zip(p.layers, g.layers):
+                for arr, garr in zip((lay.w, lay.b), pair):
+                    idx = np.unravel_index(int(gen.integers(arr.size)),
+                                           arr.shape)
+                    lp, kp = probe(arr, idx, arr[idx] + step)
+                    lm, km = probe(arr, idx, arr[idx] - step)
+                    if kp != here or km != here:
+                        skipped += 1   # the loss is not smooth over them
+                        continue
+                    fd, an = (lp - lm) / (2 * step), garr[idx]
+                    # plus the roundoff of the quotient itself
+                    assert abs(fd - an) <= (1e-5 * max(abs(fd), abs(an))
+                                            + 1e-15 * max(abs(lp), abs(lm))
+                                            / step)
+        assert skipped <= 2
+
+        single = [gnn.GnnParams(p.dims, [
+            gnn.FcLayer(lay.w.astype(np.float32), lay.b.astype(np.float32))
+            for lay in p.layers]) for p in sets]
+        grads32 = train._params_list(train.gradients(net(single), batch,
+                                                     sysp))
+        for g, g32 in zip(grads, grads32):
+            for rtol, pair, pair32 in zip(self.FLOAT32_RTOL, g.layers,
+                                          g32.layers):
+                for a, a32 in zip(pair, pair32):
+                    assert a32.dtype == np.float32
+                    err = np.linalg.norm(a32 - a)
+                    if k == m == n == 1:
+                        # one user on one antenna: the rate is P |h|^2 /
+                        # sigma2 whatever the beam, so every gradient is
+                        # rounding noise of its precision
+                        assert np.linalg.norm(a) < 1e-12 and err < 1e-5
+                    else:
+                        assert err <= rtol * np.linalg.norm(a)
 
     def test_loss_composes_from_inference_and_wsr(self):
         # engine loss must equal -mean WSR of its own inferred beams,
@@ -276,15 +359,17 @@ class TestLoop:
     def test_pinned_final_test_wsr(self):
         # The determinism contract as a number: with the same seed, 3 epochs
         # of a K = M = N = 2 scale-32 system end at this test WSR on any
-        # build.  Measured drift: 2.5e-16 relative across 1 or 2 BLAS
-        # threads, five forced OpenBLAS core types and numpy with AVX-512
-        # and AVX2 turned off, and 4e-16 across numerics revisions 1 and 2.
-        # The tolerance is 2,500 times the larger.
+        # build.  Training runs in float32 (numerics revision 3).  Measured
+        # drift: none across 1 or 2 BLAS threads, and 1.3e-8 relative
+        # across eight forced OpenBLAS core types (SkylakeX against
+        # Haswell, Zen, Sandybridge, Nehalem, Prescott, Core2 and Atom).
+        # The tolerance is 2,500 times that.  In float64 (revision 2:
+        # 27581303.314033747) the drift was 2.5e-16.
         sysp = train.SystemParams(k_sats=2, m_users=2, n_antennas=2,
                                   power=1.0, sigma2=1e-12, bandwidth=50e6)
         res = train.train(quick_config(epochs=3, system=sysp))
         assert res.history[-1].test_wsr == pytest.approx(
-            27581303.314033747, rel=1e-12)
+            27581302.51693043, rel=3.3e-5)
 
     def test_learning_improves_test_wsr(self):
         res = train.train(quick_config(epochs=10))
@@ -325,10 +410,26 @@ class TestLoop:
         assert isinstance(res.params, list) and len(res.params) == 2
         assert res.history[-1].test_wsr > res.history[0].test_wsr
 
-    def test_float32_smoke(self):
-        res = train.train(quick_config(epochs=2, use_float32=True))
-        assert res.params.layers[0].w.dtype == np.float32
-        assert all(np.isfinite(st.train_wsr) for st in res.history)
+    def test_trains_float32_and_checkpoints_exactly(self, tmp_path):
+        sysp = train.SystemParams(k_sats=2, m_users=2, n_antennas=2,
+                                  power=1.0, sigma2=1e-12, bandwidth=50e6)
+        path = tmp_path / "model.ckpt"
+        for tied in (True, False):
+            res = train.train(quick_config(epochs=2, system=sysp, tied=tied))
+            assert all(np.isfinite(st.train_wsr) for st in res.history)
+            train.save_checkpoint(path, res.params, res.input_scale)
+            loaded = train.load_checkpoint(path).params_list
+            trained = train._params_list(res.params)
+            assert len(loaded) == len(trained) == (1 if tied else 2)
+            for got, want in zip(loaded, trained):
+                for a, b in zip(got.layers, want.layers):
+                    assert b.w.dtype == b.b.dtype == np.float32
+                    assert a.w.dtype == a.b.dtype == np.float64
+                    # the upcast is exact: casting back restores the bytes
+                    assert np.array_equal(a.w, b.w)
+                    assert np.array_equal(a.b, b.b)
+                    assert a.w.astype(np.float32).tobytes() == b.w.tobytes()
+                    assert a.b.astype(np.float32).tobytes() == b.b.tobytes()
 
     def test_moving_average_of_train_wsr_trends_up(self):
         res = train.train(quick_config(epochs=24))
@@ -421,7 +522,10 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_chunked_eval_equals_whole_stack(self, tied, dtype):
         # 230 samples in chunks of 50: the remainder of 30 joins the last
-        # chunk, so no chunk runs at the few rows where BLAS kernels differ
+        # chunk, so no chunk runs at the few rows where BLAS kernels differ.
+        # float32 is equal only at shapes like these: OpenBLAS's sgemm of
+        # out_fc (64 -> 8) rounds differently from about 2,000 rows on,
+        # and the whole stack here has at most 1,840
         params, sysp, gen = desk_shaped(tied, dtype)
         h = tiny_batch(gen, count=230, k=2, m=4, n=4)
         whole = train._mean_wsr(params, h, sysp)
@@ -430,6 +534,17 @@ class TestBoundedMemory:
             for workspaces in (None, ws):
                 got = train._mean_wsr(params, h, sysp, chunk, workspaces)
                 assert got.hex() == whole.hex()
+
+    def test_float32_desk_mean_is_deterministic_per_chunk_size(self):
+        # the desk test set, 2,000 samples in chunks of 200: its whole stack
+        # would run out_fc at 16,000 rows, where the float32 product rounds
+        # differently, so the contract is a fixed value per chunk size
+        params, sysp, gen = desk_shaped(dtype=np.float32)
+        h = tiny_batch(gen, count=2000, k=2, m=4, n=4)
+        ws = [gnn.Workspace()]
+        got = {train._mean_wsr(params, h, sysp, 200, workspaces).hex()
+               for workspaces in (None, ws)}
+        assert len(got) == 1
 
     @pytest.mark.parametrize("tied", [True, False])
     def test_engine_workspace_keeps_every_bit(self, tied):
