@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 COND_LIMIT = 1e12       # condition number above which ZF refuses to invert
+CERTIFY_LIMIT = 1e8     # condition bound below which ZF skips the exact SVD
 ZERO_POWER = 1e-30      # blocks below this raw power are left at zero
 
 
@@ -149,14 +150,67 @@ def _rescale(ww: np.ndarray, p) -> np.ndarray:
     return out
 
 
-def _check_rank(mats: np.ndarray, local: bool) -> None:
+def _prescaled(hh: np.ndarray, axis) -> np.ndarray:
+    """hh with each row (axis -1) or matrix (axes (-2, -1)) scaled by the
+    power of two 2^-e that brings its largest |re| or |im| into [0.5, 1),
+    e from `np.frexp`.  The scaling is exact, so norms and Gram products
+    can be taken without their squares underflowing or overflowing; an
+    all-zero or non-finite block keeps its scale."""
+    x = np.ascontiguousarray(hh, dtype=np.result_type(hh, 1.0))
+    parts = x.view(x.real.dtype)   # re and im interleaved along the row
+    _, e = np.frexp(np.abs(parts).max(axis=axis, keepdims=True))
+    return np.ldexp(parts, -e).view(x.dtype)
+
+
+def _certified(mats: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """True for each matrix H of a stack (..., n_ant, M) that the
+    zero-forcing directions wt = H (H^H H)^{-1} solved for it certify as
+    well conditioned (see `_check_rank`)."""
+    x = wt.conj().swapaxes(-1, -2)
+    with np.errstate(all="ignore"):  # a non-finite matrix is not certified
+        r = np.sqrt(_squared_norms(x @ mats - np.eye(mats.shape[-1])))
+        bound = np.sqrt(_squared_norms(mats) * _squared_norms(x)) / (1.0 - r)
+    return (r <= 0.5) & (bound <= CERTIFY_LIMIT)
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a stack (..., a, b)."""
+    return (x * x.conj()).real.sum(axis=(-2, -1))
+
+
+def _check_rank(mats: np.ndarray, local: bool, wt=None) -> None:
     """SingularChannelError naming the first ill-conditioned matrix of a
     per-satellite stack (..., K, n_ant, M): its satellite if local, else
     the stacked system, a `pooled` transmitter.  With fewer antennas than
-    users every matrix is rank-deficient, whatever its condition number."""
+    users every matrix is rank-deficient, whatever its condition number.
+
+    Without wt every matrix gets the exact condition number, one SVD each.
+    With the zero-forcing directions wt already solved for, a matrix H is
+    certified without one.  For X = wt^H and R = X H - I, ||R||_F < 1
+    makes (X H)^{-1} X a left inverse of H of 2-norm at most
+    ||X||_F / (1 - ||R||_F), and no left inverse has a smaller 2-norm than
+    the minimum-norm one, 1 / sigma_min(H).  With sigma_max(H) <= ||H||_F,
+
+        cond_2(H) <= ||H||_F ||X||_F / (1 - ||R||_F)
+
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 14).  A matrix is certified when ||R||_F <= 1/2 and this bound is
+    at most CERTIFY_LIMIT, a factor 1e4 below COND_LIMIT that absorbs the
+    rounding in R and in the norms; so the exact check passes every
+    certified matrix.  Every other one, a non-finite one included, gets
+    the exact condition number, so the decision and its message are those
+    of the exact check.
+    """
     n_ant, m_users = mats.shape[-2:]
-    cond = (np.full(mats.shape[:-2], np.inf) if n_ant < m_users
-            else np.linalg.cond(mats))
+    if n_ant < m_users:
+        cond = np.full(mats.shape[:-2], np.inf)
+    else:
+        certified = (np.zeros(mats.shape[:-2], bool) if wt is None
+                     else _certified(mats, wt))
+        if certified.all():
+            return
+        cond = np.zeros(mats.shape[:-2])
+        cond[~certified] = np.linalg.cond(mats[~certified])
     bad = np.argwhere(cond > COND_LIMIT)
     if not len(bad):
         return
@@ -230,11 +284,19 @@ def unpooled(w, k_sats: int, n_ant: int) -> np.ndarray:
 
 def _zf(hh: np.ndarray, power, normalization: str, local: bool):
     """Zero-forcing beams of each satellite of hh; `local` as in
-    `_check_rank`."""
-    mats = _blocks(hh)
-    _check_rank(mats, local)
-    return _beams(_zf_normalize(_inverse_directions(mats), power,
-                                normalization))
+    `_check_rank`.  Each matrix is prescaled (`_prescaled`), which the
+    normalized beams do not depend on, so no Gram product underflows or
+    overflows; its rank is checked on the solve's own result."""
+    mats = _blocks(_prescaled(hh, (-2, -1)))
+    wt = None
+    if mats.shape[-2] >= mats.shape[-1]:  # else no matrix has full rank
+        try:
+            wt = _inverse_directions(mats)
+        except np.linalg.LinAlgError:
+            _check_rank(mats, local)   # names a rank-deficient matrix
+            raise
+    _check_rank(mats, local, wt)
+    return _beams(_zf_normalize(wt, power, normalization))
 
 
 def _mmse(hh: np.ndarray, power, sigma2: float, scheme: str):
@@ -249,23 +311,12 @@ def _mmse(hh: np.ndarray, power, sigma2: float, scheme: str):
 
 # --- local schemes (each satellite uses only its own channels) --------------
 
-def _row_prescaled(hh: np.ndarray) -> np.ndarray:
-    """hh with each row (last axis) scaled by the power of two 2^-e that
-    brings its largest |re| or |im| into [0.5, 1), e from `np.frexp`.  The
-    scaling is exact, so a row's norm can be taken without its squares
-    underflowing or overflowing; an all-zero row stays zero."""
-    x = np.ascontiguousarray(hh, dtype=np.result_type(hh, 1.0))
-    parts = x.view(x.real.dtype)   # re and im interleaved along the row
-    _, e = np.frexp(np.abs(parts).max(axis=-1, keepdims=True))
-    return np.ldexp(parts, -e).view(x.dtype)
-
-
 def mrt_local(h, power) -> BeamformerSet:
     """Match each beam to its own channel: w[k,m] = sqrt(P/M) h[k,m]/|h[k,m]|.
 
-    The row is prescaled (`_row_prescaled`), so a weak channel gets a full
+    The row is prescaled (`_prescaled`), so a weak channel gets a full
     beam at any scale; only an all-zero row gives a zero beam."""
-    hh = _row_prescaled(_tensor(h, "channel"))
+    hh = _prescaled(_tensor(h, "channel"), -1)
     p = _budget(power, hh.ndim)
     m_users = hh.shape[-2]
     norms = np.linalg.norm(hh, axis=-1)

@@ -9,6 +9,7 @@ Nakagami-m line-of-sight component with deterministic phase.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -275,17 +276,28 @@ def sample_shadowed_rician(fading: FadingParams, los_phase: float,
     hi = 2.0 * np.pi if full_scatter_phase else np.pi
     psi = rng.uniform(0.0, hi, size=size)
     los = sample_nakagami_amplitude(fading.m, fading.omega, rng, size)
-    return amp * np.exp(1j * psi) + los * np.exp(1j * los_phase)
+    # exp(j psi) is (cos psi, sin psi) bit for bit; built in one buffer
+    h = np.empty(psi.shape, dtype=complex)
+    np.cos(psi, out=h.real)
+    np.sin(psi, out=h.imag)
+    h *= amp
+    h += los * np.exp(1j * los_phase)
+    return h
 
 
+@functools.lru_cache(maxsize=64)
 def deterministic_amplitudes(params: ChannelParams, m_users: int) -> np.ndarray:
-    """Per-UT deterministic amplitude C_L * sqrt(b(phi_m)), shape (M,)."""
+    """Per-UT deterministic amplitude C_L * sqrt(b(phi_m)), shape (M,).
+
+    Computed once per (params, m_users) and returned read-only."""
     c_l = path_loss_coeff(params.d0, params.dh, params.carrier_freq)
     if len(params.phi) != m_users:
         raise ValueError(f"per-UT phi list has {len(params.phi)} entries, "
                          f"expected {m_users}")
-    return c_l * np.sqrt(beam_gain(np.array(params.phi), params.phi_3db,
+    amps = c_l * np.sqrt(beam_gain(np.array(params.phi), params.phi_3db,
                                    params.b_max))
+    amps.flags.writeable = False
+    return amps
 
 
 def sample_channel_batch(params: ChannelParams, count: int, k_sats: int,
@@ -296,5 +308,5 @@ def sample_channel_batch(params: ChannelParams, count: int, k_sats: int,
     h_tilde = sample_shadowed_rician(
         params.fading, params.los_phase, rng, size=shape,
         full_scatter_phase=params.full_scatter_phase)
-    amp = deterministic_amplitudes(params, m_users)
-    return h_tilde * amp[None, None, :, None]
+    h_tilde *= deterministic_amplitudes(params, m_users)[:, None]
+    return h_tilde

@@ -3,9 +3,9 @@
 The desk-scale training run takes a few minutes, so it is executed once per
 session and cached on disk keyed by the exact training config.  Training is
 deterministic for a fixed seed and numerics stack, so the cache only skips
-recomputation: its JSON records `leobeam.NUMERICS`, the numpy version and the
-BLAS build, and any mismatch is a miss.  Set LEOBEAM_TEST_NO_CACHE=1 to force
-a fresh run.
+recomputation: its JSON records `leobeam.NUMERICS`, the numpy version, the
+BLAS build and a SHA-256 of the `leobeam` modules training runs, and any
+mismatch is a miss.  Set LEOBEAM_TEST_NO_CACHE=1 to force a fresh run.
 """
 
 import hashlib
@@ -20,6 +20,8 @@ import pytest
 import leobeam
 from leobeam import beamform, channel, experiments, gnn, train
 
+# the modules desk training runs; an edit to any of them is a cache miss
+TRAINING_MODULES = (channel, beamform, gnn, train, experiments)
 CACHE_DIR = os.path.join(os.path.dirname(__file__), "_cache")
 _REPO_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -36,8 +38,12 @@ def numerics_stamp() -> dict:
         blas_name = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy without the dict form
         blas_name = "unknown"
+    sources = hashlib.sha256()
+    for module in TRAINING_MODULES:
+        with open(module.__file__, "rb") as fh:
+            sources.update(fh.read())
     return {"numerics": leobeam.NUMERICS, "numpy": np.__version__,
-            "blas": blas_name}
+            "blas": blas_name, "sources": sources.hexdigest()}
 
 
 class DeskTraining(NamedTuple):

@@ -1,12 +1,14 @@
 """Rate evaluation and classical precoder tests."""
 
+import inspect
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leobeam import beamform
+from leobeam import beamform, channel, experiments
 
 
 def rand_channel(rng, k=2, m=4, n=4, scale=1.0):
@@ -223,6 +225,176 @@ class TestZf:
         w = beamform.zf_local(h, 3.0, normalization="trace").w
         for k in range(2):
             assert np.sum(np.abs(w[k]) ** 2) == pytest.approx(3.0, rel=1e-9)
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(k=st.integers(1, 3), m=st.integers(1, 4), extra=st.integers(0, 2),
+           e=st.integers(-900, 900), seed=st.integers(0, 2 ** 32 - 1))
+    def test_power_of_two_scaling_keeps_every_bit(self, k, m, extra, e,
+                                                  seed):
+        # each matrix is prescaled before its Gram product, so neither a
+        # tiny nor a huge channel underflows or overflows there
+        h = rand_channel(np.random.Generator(np.random.Philox(seed)), k, m,
+                         m + extra)
+        scaled = np.ldexp(h.real, e) + 1j * np.ldexp(h.imag, e)
+        for power in (2.0, np.array([0.5, 3.0])):
+            for scheme in (beamform.zf_local, beamform.zf_global):
+                want = scheme(h, power).w
+                assert scheme(scaled, power).w.tobytes() == want.tobytes()
+
+
+def zf_check_first(h, power, local: bool, normalization="per_stream"):
+    """Zero forcing with the exact rank check run before the solve: one
+    SVD per matrix, then the same solve and normalization."""
+    hh = np.asarray(h)
+    k_sats, n_ant = hh.shape[-3], hh.shape[-1]
+    mats = beamform._prescaled(hh if local else beamform.pooled(hh),
+                               (-2, -1)).swapaxes(-1, -2)
+    rows, cols = mats.shape[-2:]
+    cond = (np.full(mats.shape[:-2], np.inf) if rows < cols
+            else np.linalg.cond(mats))
+    bad = np.argwhere(cond > beamform.COND_LIMIT)
+    if len(bad):
+        *sample, sat = (int(i) for i in bad[0])
+        where = [f"satellite {sat}" if local else "stacked system"]
+        if sample:
+            where.insert(0, "sample " + ",".join(map(str, sample)))
+        raise beamform.SingularChannelError(
+            f"rank-deficient channel matrix at {', '.join(where)}: "
+            "zero-forcing requires linearly independent user channels")
+    wt = beamform._inverse_directions(mats)
+    w = beamform._beams(beamform._zf_normalize(wt, power, normalization))
+    return w if local else beamform.unpooled(w, k_sats, n_ant)
+
+
+def outcome(call):
+    """Beams as bytes (None for a check that passes), or the exception's
+    type and message."""
+    try:
+        w = call()
+    except Exception as exc:  # noqa: BLE001 - the oracle's, compared below
+        return type(exc), str(exc)
+    return None if w is None else (w.shape, w.tobytes())
+
+
+class TestZfRankCertificate:
+    """`_zf` checks rank on its solve's result; the exact SVD runs only
+    where that certificate is inconclusive."""
+
+    def cases(self):
+        rng = np.random.default_rng(66)
+
+        def stack(m=3, n=4):
+            return rand_channel(rng, k=5 * 2, m=m, n=n).reshape(5, 2, m, n)
+
+        h = stack()
+        yield "random", h
+        yield "one realization", h[0]
+        dup = stack()
+        dup[2, 1, 2] = dup[2, 1, 0]
+        yield "duplicated user", dup
+        scaled = stack()
+        scaled[3, 0, 1] = (2.0 - 1.0j) * scaled[3, 0, 0]
+        scaled[1, :, 2] = 1e-3j * scaled[1, :, 0]
+        yield "scaled users", scaled
+        for gap in (1e-6, 1e-9, 1e-13):
+            near = stack()
+            near[4, 1, 1] = near[4, 1, 0] + gap * near[4, 1, 2]
+            yield f"nearly dependent users, gap {gap}", near
+        zero = stack()
+        zero[0, 1, 2] = 0.0
+        yield "zero row", zero
+        zero_all = stack()
+        zero_all[1, :, 0] = 0.0
+        yield "zero user on every satellite", zero_all
+        tiny = stack()
+        tiny[2] *= 1e-200
+        tiny[3, 0] *= 1e250
+        yield "tiny and huge samples", tiny
+        for bad in (np.nan, np.inf, -np.inf + 1j * np.nan):
+            odd = stack()
+            odd[3, 0, 1, 2] = bad
+            yield f"entry {bad}", odd
+        yield "fewer antennas than users", stack(m=3, n=2)
+        yield "fewer pooled antennas than users", stack(m=5, n=2)
+        yield "empty stack", stack()[:0]
+
+    def test_matches_check_first_oracle(self):
+        seen = set()
+        for name, h in self.cases():
+            for power in (1.5, np.array([0.5, 1.0, 4.0])):
+                calls = [
+                    (lambda: beamform.zf_local(h, power).w,
+                     lambda: zf_check_first(h, power, local=True)),
+                    (lambda: beamform.zf_local(h, power, "trace").w,
+                     lambda: zf_check_first(h, power, True, "trace")),
+                    (lambda: beamform.zf_global(h, power).w,
+                     lambda: zf_check_first(h, power, local=False))]
+                for got, want in calls:
+                    with np.errstate(all="ignore"):
+                        expected = outcome(want)
+                        assert outcome(got) == expected, name
+                    seen.add(expected[0] if isinstance(expected[0], type)
+                             else "beams")
+        # every outcome occurs: beams, a named matrix and numpy's errors
+        assert seen == {"beams", beamform.SingularChannelError,
+                        np.linalg.LinAlgError}
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_decision_at_the_limit_is_the_exact_one(self, factor):
+        rng = np.random.default_rng(67)
+        limit = factor * beamform.COND_LIMIT
+        h = rand_channel(rng, k=3, m=3, n=4)
+        for k in range(3):
+            # H = U diag(1, 1/2, 1/limit) V^H with orthonormal U and V
+            u, _ = np.linalg.qr(rand_channel(rng, k=1, m=4, n=3)[0])
+            v, _ = np.linalg.qr(rand_channel(rng, k=1, m=3, n=3)[0])
+            mat = u @ np.diag([1.0, 0.5, 1.0 / limit]) @ v.conj().T
+            h[k] = mat.T
+        cond = np.linalg.cond(h.swapaxes(-1, -2))
+        assert np.allclose(cond, limit, rtol=1e-2)
+        want = outcome(lambda: zf_check_first(h, 1.0, local=True))
+        assert outcome(lambda: beamform.zf_local(h, 1.0).w) == want
+        if factor < 1.0:
+            assert not isinstance(want[0], type)
+        else:
+            assert want == (beamform.SingularChannelError,
+                            "rank-deficient channel matrix at satellite 0: "
+                            "zero-forcing requires linearly independent "
+                            "user channels")
+        # the SVD's pseudo-inverse leaves a small residual at any
+        # condition, so only the bound keeps these matrices uncertified
+        mats = beamform._blocks(h)
+        wt = np.linalg.pinv(mats).conj().swapaxes(-1, -2)
+        assert not beamform._certified(mats, wt).any()
+        assert outcome(lambda: beamform._check_rank(mats, True, wt)) == \
+            outcome(lambda: beamform._check_rank(mats, True))
+
+    def test_desk_ensemble_runs_no_svd(self, monkeypatch):
+        cfg = experiments.load_config(os.path.join(
+            os.path.dirname(__file__), os.pardir, "configs", "desk.ini"))
+        h = channel.sample_channel_batch(
+            cfg.channel_params(), 500, cfg.k_sats, cfg.m_users,
+            cfg.n_antennas, np.random.Generator(np.random.Philox(18)))
+        calls = []
+        # the namespace in which np.linalg.cond looks up svd
+        linalg = inspect.unwrap(np.linalg.cond).__globals__
+        svd = linalg["svd"]
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setitem(linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for power in (cfg.power, np.array([0.1, 1.0, 10.0]) * cfg.power):
+            beamform.zf_local(h, power)
+            beamform.zf_global(h, cfg.k_sats * power)
+        assert not calls
+        # the counter sees the exact check
+        beamform._check_rank(beamform._blocks(h), local=True)
+        assert len(calls) == 1
 
 
 class TestMmse:

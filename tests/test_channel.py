@@ -133,6 +133,23 @@ class TestFadingMoments:
                                            full_scatter_phase=True)
         assert abs(np.mean(h.imag)) < 0.005
 
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("los_phase", [0.0, 0.7, -2.5])
+    def test_draw_equals_complex_exponential_form(self, full, los_phase):
+        # the draw as A exp(j psi) + Z exp(j los_phase), spelled out with
+        # the same generator calls in the same order, must keep every bit
+        size = (500, 2, 4, 4)
+        got = channel.sample_shadowed_rician(
+            FADING, los_phase, np.random.Generator(np.random.Philox(14)),
+            size, full_scatter_phase=full)
+        rng = np.random.Generator(np.random.Philox(14))
+        amp = channel.sample_rayleigh_amplitude(FADING.b, rng, size)
+        psi = rng.uniform(0.0, 2.0 * np.pi if full else np.pi, size=size)
+        los = channel.sample_nakagami_amplitude(FADING.m, FADING.omega, rng,
+                                                size)
+        want = amp * np.exp(1j * psi) + los * np.exp(1j * los_phase)
+        assert got.tobytes() == want.tobytes()
+
     def test_los_phase_rotates_los_term(self):
         rng1 = np.random.Generator(np.random.Philox(13))
         rng2 = np.random.Generator(np.random.Philox(13))
@@ -189,6 +206,23 @@ class TestChannelTensor:
         assert np.argmax(amps) == 0
         cl = channel.path_loss_coeff(p.d0, p.dh, p.carrier_freq)
         assert amps[0] == pytest.approx(cl * math.sqrt(p.b_max), rel=1e-12)
+
+    def test_deterministic_amplitudes_are_cached_read_only(self):
+        p = _params(phi=(0.0, 0.01, 0.02, 0.05))
+        amps = channel.deterministic_amplitudes(p, 4)
+        assert channel.deterministic_amplitudes(_params(
+            phi=(0.0, 0.01, 0.02, 0.05)), 4) is amps
+        with pytest.raises(ValueError):
+            amps[0] = 1.0
+        with pytest.raises(ValueError, match="expected 3"):
+            channel.deterministic_amplitudes(p, 3)
+        # a batch is the fading draw scaled by them, bit for bit
+        rng = np.random.Generator(np.random.Philox(15))
+        h = channel.sample_channel_batch(p, 50, 2, 4, 3, rng)
+        rng = np.random.Generator(np.random.Philox(15))
+        draw = channel.sample_shadowed_rician(p.fading, p.los_phase, rng,
+                                              (50, 2, 4, 3))
+        assert h.tobytes() == (draw * amps[None, None, :, None]).tobytes()
 
     def test_scalar_phi_broadcasts(self):
         # one configured angle serves every user

@@ -1225,6 +1225,20 @@ class TestCliContract:
         assert rows[2].split(",")[0] == "mrt_local"
         assert float(rows[2].split(",")[2]) > 0.0
 
+    def test_tiny_channel_gives_positive_zf_rates(self, tmp_path):
+        # |h| near 1e-179: its Gram matrix underflowed to zero, and ZF
+        # failed as "Singular matrix" on channels of condition number ~10
+        (tmp_path / "c.ini").write_text(
+            "[system]\ncarrier_freq_hz = 2.3494948343216815e+165\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(tmp_path / "c.ini"), "--out",
+                         str(out), "eval", "--schemes", "zf_local,zf_global",
+                         "--size", "8"]) == 0
+        rows = (out / "eval_summary.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == ["zf_local",
+                                                       "zf_global"]
+        assert all(float(row.split(",")[2]) > 0.0 for row in rows)
+
 
 class TestSvgPlot:
     def series(self):
