@@ -18,7 +18,7 @@ of P budgets.  A vector adds a new leading axis, so a stack (..., K, M, N)
 gives beams (P, ..., K, M, N), and the work that does not depend on the
 budget runs once for all of them: the zero-forcing rank check and
 pseudo-inverse, the Gram matrices of the regularized inversion, and the
-MRT and trace norms.  Only the normalization, and for MMSE the
+MRT and zero-forcing norms.  Only the normalization, and for MMSE the
 regularized solve (one stacked LAPACK call), runs per budget.  Each budget
 gets the bits a scalar call with it gets.
 """
@@ -242,20 +242,13 @@ def _inverse_directions(mats: np.ndarray, reg=None) -> np.ndarray:
     return np.linalg.solve(gram, mh).conj().swapaxes(-1, -2)
 
 
-def _zf_normalize(wt: np.ndarray, power, normalization: str):
-    """Scale each (n_ant, M) direction matrix of a stack to power watts.
-
-    per_stream: every column gets power / M; trace: the matrix as a whole.
-    A vector of P budgets takes the norms once and gives (P, ...) beams.
-    """
+def _zf_normalize(wt: np.ndarray, power):
+    """Scale each (n_ant, M) direction matrix of a stack to power watts,
+    power / M per column.  A vector of P budgets takes the norms once and
+    gives (P, ...) beams."""
     p = _budget(power, wt.ndim)
-    if normalization == "per_stream":
-        norms = np.linalg.norm(wt, axis=-2)
-        return np.sqrt(p / wt.shape[-1]) * wt / norms[..., None, :]
-    if normalization == "trace":
-        praw = np.sum(np.abs(wt) ** 2, axis=(-2, -1), keepdims=True)
-        return wt * np.sqrt(p / praw)
-    raise ValueError("normalization must be 'per_stream' or 'trace'")
+    norms = np.linalg.norm(wt, axis=-2)
+    return np.sqrt(p / wt.shape[-1]) * wt / norms[..., None, :]
 
 
 def _blocks(hh: np.ndarray) -> np.ndarray:
@@ -282,7 +275,7 @@ def unpooled(w, k_sats: int, n_ant: int) -> np.ndarray:
     return w.reshape(*lead, m_users, k_sats, n_ant).swapaxes(-3, -2)
 
 
-def _zf(hh: np.ndarray, power, normalization: str, local: bool):
+def _zf(hh: np.ndarray, power, local: bool):
     """Zero-forcing beams of each satellite of hh; `local` as in
     `_check_rank`.  Each matrix is prescaled (`_prescaled`), which the
     normalized beams do not depend on, so no Gram product underflows or
@@ -296,17 +289,19 @@ def _zf(hh: np.ndarray, power, normalization: str, local: bool):
             _check_rank(mats, local)   # names a rank-deficient matrix
             raise
     _check_rank(mats, local, wt)
-    return _beams(_zf_normalize(wt, power, normalization))
+    return _beams(_zf_normalize(wt, power))
 
 
 def _mmse(hh: np.ndarray, power, sigma2: float, scheme: str):
     """Regularized-inversion beams of each satellite of hh, regularizer
-    M sigma2 / P; ValueError naming `scheme` on a budget or noise <= 0."""
+    M sigma2 / P; ValueError naming `scheme` on a budget or noise <= 0.
+    Where noise dominates the directions shrink as H / reg, so each beam
+    matrix is prescaled (`_prescaled`) before `_rescale` meets ZERO_POWER."""
     p = _budget(power, hh.ndim)
     if _lowest(p) <= 0.0 or sigma2 <= 0.0:
         raise ValueError(f"{scheme} requires power > 0 and sigma2 > 0")
     wt = _inverse_directions(_blocks(hh), hh.shape[-2] * sigma2 / p)
-    return _rescale(_beams(wt), p)
+    return _rescale(_prescaled(_beams(wt), (-2, -1)), p)
 
 
 # --- local schemes (each satellite uses only its own channels) --------------
@@ -325,20 +320,19 @@ def mrt_local(h, power) -> BeamformerSet:
     return BeamformerSet(w=ww, power_budget=power, scope="per_satellite")
 
 
-def zf_local(h, power, normalization: str = "per_stream") -> BeamformerSet:
+def zf_local(h, power) -> BeamformerSet:
     """Per-satellite zero forcing.
 
     Each satellite nulls its own inter-user interference.  Columns are
-    renormalized to equal per-stream power sqrt(P/M); the 'trace' variant
-    keeps the pseudo-inverse column shape and scales the block as a whole.
+    renormalized to equal per-stream power sqrt(P/M).
 
-    Each satellite's own nulled gain is real and positive: under per_stream,
+    Each satellite's own nulled gain is real and positive:
     h[k,m]^H w[k,m] = a_km sqrt(P/M) with a_km = 1/||column m of pinv(H_k)||.
     The satellites' contributions to c[m,m] therefore add coherently, while
     every cross gain c[m,i], i != m, stays exactly zero.
     """
     return BeamformerSet(
-        w=_zf(_tensor(h, "channel"), power, normalization, local=True),
+        w=_zf(_tensor(h, "channel"), power, local=True),
         power_budget=power, scope="per_satellite")
 
 
@@ -354,7 +348,7 @@ def mmse_local(h, power, sigma2: float) -> BeamformerSet:
 def zf_global(h, total_power) -> BeamformerSet:
     """Zero forcing on the stacked NK-antenna system, total power budget."""
     hh = _tensor(h, "channel")
-    w = _zf(pooled(hh), total_power, "per_stream", local=False)
+    w = _zf(pooled(hh), total_power, local=False)
     return BeamformerSet(w=unpooled(w, hh.shape[-3], hh.shape[-1]),
                          power_budget=total_power, scope="total")
 

@@ -215,8 +215,7 @@ class ExperimentConfig:
                 "the noise power must be finite and > 0 W")
         # the domain classes hold the remaining range checks
         try:
-            _check_budget(self.p_dbw, (self.k_sats,), self.m_users,
-                         self.sigma2, "[system] p_dbw")
+            _check_budget(self, self.p_dbw, (self.k_sats,), "[system] p_dbw")
             self.train_config()
             self.accel_config()
         except (ValueError, ArithmeticError) as exc:
@@ -572,25 +571,38 @@ def run_eval(config: ExperimentConfig, out_dir: str,
     return summary
 
 
-def _check_budget(p_dbw: float, k_values, m_users: int, sigma2: float,
-                 where: str) -> float:
+def _check_budget(config, p_dbw: float, k_values, where: str) -> float:
     """Per-satellite budget P in watts of p_dbw, checked for every power
-    policy at every satellite count K in k_values.
+    policy at every satellite count K in k_values of the system `config`.
 
     The policies' budgets run from P/K to K*P; each must be finite and
     > 0 and keep the MMSE regularizer M*sigma2/budget finite (a subnormal
-    budget overflows it).  Otherwise ConfigError names `where`.
+    budget overflows it).  The best-case SNR, (a sqrt(K P))^2 / sigma2 for
+    K satellites at budget P/K combining coherently on the largest
+    deterministic amplitude a, must be a normal float, or every rate
+    underflows to zero.  Otherwise ConfigError names `where`.
     """
     watts = db_to_linear(p_dbw)
     k = max(k_values)
     low, high = watts / k, watts * k
     if not (0.0 < low and high < math.inf
-            and m_users * sigma2 / low < math.inf):
+            and config.m_users * config.sigma2 / low < math.inf):
         raise ConfigError(
             f"{where} = {p_dbw!r} gives {watts!r} W per satellite, out of "
             f"range: every power policy's budget (P/K to K*P, K up to {k}) "
             f"must be finite and > 0 and keep the MMSE regularizer "
             f"M*sigma2/P finite")
+    amp = float(np.max(channel.deterministic_amplitudes(
+        config.channel_params(), config.m_users)))
+    gain = amp * math.sqrt(min(k_values) * watts)
+    snr = gain * gain / config.sigma2   # as rates form it: |c|^2 first
+    if not snr >= np.finfo(float).tiny:
+        raise ConfigError(
+            f"best-case SNR {snr!r} is below the smallest normal float, so "
+            f"every rate would underflow to 0: [system] carrier_freq_hz = "
+            f"{config.carrier_freq_hz!r} and d0_m = {config.d0_m!r} are too "
+            f"weak for {where} = {p_dbw!r}, sigma2_dbm = "
+            f"{config.sigma2_dbm!r}")
     return watts
 
 
@@ -628,8 +640,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str, variable: str,
     if variable == "p_dbw":
         points = [float(v) for v in values]
         ensembles = [(None, config.k_sats, budget_for_policy(
-            policy, np.array([_check_budget(v, (config.k_sats,),
-                                           config.m_users, config.sigma2,
+            policy, np.array([_check_budget(config, v, (config.k_sats,),
                                            "[system] p_dbw sweep value")
                               for v in points]),
             config.k_sats))]
@@ -642,8 +653,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str, variable: str,
         if min(points) < 1:
             raise ConfigError(f"k_sats sweep value must be >= 1, "
                               f"got {min(points)}")
-        _check_budget(config.p_dbw, points, config.m_users, config.sigma2,
-                     "[system] p_dbw")
+        _check_budget(config, config.p_dbw, points, "[system] p_dbw")
         ensembles = [(ki, k, budget_for_policy(policy, config.power, k))
                      for ki, k in enumerate(points)]
 

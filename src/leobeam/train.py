@@ -12,13 +12,17 @@ The neighbor max gradient goes to the node that supplied each aggregate:
 the top node collects the other nodes' gradients, the runner-up the top
 node's.
 
+A parameter set trains as one `TrainState`: four flat arrays hold its
+parameters, their gradient and Adam's two moments, and the layers view
+into the first two, so a step updates them in place.
+
 `train` runs all of this in float32; the engine itself follows the dtype
 of the parameters it is given, so float64 parameters, such as a loaded
 checkpoint's, run in float64.
 
 By default one parameter set is shared by all satellites; they run stacked
 through one pass, and their gradients accumulate in satellite order into
-the same buffers.  Setting tied=False trains one parameter set per
+the same arrays.  Setting tied=False trains one parameter set per
 satellite instead.  Training and inference without gradients keep no
 backward caches.
 
@@ -31,7 +35,6 @@ physical channel gains are of order 1e-7.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import logging
 import math
@@ -44,8 +47,8 @@ import numpy as np
 from . import channel
 from .beamform import ZERO_POWER, BeamformerSet, pooled, rate_terms, unpooled
 from .gnn import (ArtifactError, FcLayer, GnnParams, Workspace, atomic_write,
-                  csv_file, init_params, read_exact, read_params,
-                  scaled_dims, write_files, write_params, _buffer,
+                  csv_file, init_params, layer_plan, read_exact,
+                  read_params, scaled_dims, write_files, write_params, _buffer,
                   _contiguous, _dense, _ensure_finite, _forward_group, _out,
                   _outs, _power_scale)
 
@@ -171,13 +174,13 @@ def _dense_backward(layer, x, gy, mask, blocks, acc, ws=None,
                     want_gx: bool = True, x_relu: bool = True):
     """Backward of y = x @ w + b, or of relu of it where `mask` marks
     y > 0.  Overwrites gy.  Adds dW, db of each row block of `blocks`, in
-    order, into the buffers `acc`.  If wanted, returns the input gradient,
-    written over x, which nothing reads once this layer is done, and for a
-    ReLU output x (`x_relu`) the mask x > 0 of the layer before, taken
-    before x is overwritten."""
+    order, into the gradient layer `acc`.  If wanted, returns the input
+    gradient, written over x, which nothing reads once this layer is done,
+    and for a ReLU output x (`x_relu`) the mask x > 0 of the layer before,
+    taken before x is overwritten."""
     if mask is not None:
         gy *= mask
-    dw, db = acc
+    dw, db = acc.w, acc.b
     for rows in blocks:
         g = gy[rows]
         dw += x[rows].T @ g
@@ -259,7 +262,7 @@ def _powernorm_backward(y, gw, power: float):
 
 
 def _backward_group(params: GnnParams, cache, gw, power: float, blocks,
-                    grads: GradientSet, ws=None) -> None:
+                    grads: GnnParams, ws=None) -> None:
     """Adds the gradients of the row blocks `blocks` into grads.
 
     cache is `gnn._forward_group`'s; gw has shape (S, B, M, N), the loss
@@ -307,18 +310,6 @@ def _wsr_backward(h, c, sinr, intf, weights, bandwidth: float, batch: int):
 
 
 # --- public loss / gradient API ------------------------------------------------
-
-@dataclass
-class GradientSet:
-    """Per-layer (d weight, d bias) pairs in layer_plan order."""
-
-    layers: list
-
-
-def _zero_grads(params: GnnParams) -> GradientSet:
-    return GradientSet([(np.zeros_like(l.w), np.zeros_like(l.b))
-                        for l in params.layers])
-
 
 def _params_list(params) -> list:
     return list(params) if isinstance(params, (list, tuple)) else [params]
@@ -371,25 +362,26 @@ def _rate_objective(hs, w, sys: SystemParams):
     return float((rates @ sys.weight_vector()).mean()), (c, sinr, intf)
 
 
-def _engine(params, batch, sys: SystemParams, workspaces=None):
-    """Mean WSR (the loss is its negative) and gradients.  `workspaces`
-    as in `_forward_beams`; the pass then allocates only small arrays."""
-    hs, w, groups = _forward_beams(params, batch, sys, True,
-                                   workspaces=workspaces)
+def _engine(states, batch, sys: SystemParams, workspaces=None) -> float:
+    """Mean WSR (the loss is its negative) of the parameters of the list
+    of TrainState `states`, whose gradient arrays it overwrites with the
+    loss gradient.  `workspaces` as in `_forward_beams`; the pass then
+    allocates only small arrays."""
+    hs, w, groups = _forward_beams([s.params for s in states], batch, sys,
+                                   True, workspaces=workspaces)
     b, _, m, _ = hs.shape
     mean_wsr, (c, sinr, intf) = _rate_objective(hs, w, sys)
     gw = _wsr_backward(hs, c, sinr, intf, sys.weight_vector(), sys.bandwidth,
                        b)
-    grads = [_zero_grads(p) for p in _params_list(params)]
+    for state in states:
+        state.g.fill(0.0)
     rows = b * m
-    for i, ((p, sats, cache), g) in enumerate(zip(groups, grads)):
+    for i, ((p, sats, cache), state) in enumerate(zip(groups, states)):
         gs = gw[sats].transpose(1, 0, 2, 3)
         blocks = [slice(j * rows, (j + 1) * rows) for j in range(len(gs))]
-        _backward_group(p, cache, gs, sys.power, blocks, g,
+        _backward_group(p, cache, gs, sys.power, blocks, state.grads,
                         None if workspaces is None else workspaces[i])
-    if not isinstance(params, (list, tuple)):
-        grads = grads[0]
-    return mean_wsr, grads
+    return mean_wsr
 
 
 def _mean_wsr(params, batch, sys: SystemParams, chunk=None,
@@ -423,12 +415,13 @@ def batch_loss(params, batch, sys: SystemParams) -> float:
 
 
 def gradients(params, batch, sys: SystemParams):
-    """Exact reverse-mode gradient of batch_loss.
-
-    With tied (single) params the gradients of all satellite passes
-    accumulate into one GradientSet.
-    """
-    return _engine(params, batch, sys)[1]
+    """Exact reverse-mode gradient of batch_loss as GnnParams of (dW, db)
+    layers: one set, into which all satellite passes of tied (single)
+    params accumulate, or a list of them if params is a list."""
+    states = [TrainState(p) for p in _params_list(params)]
+    _engine(states, batch, sys)
+    grads = [s.grads for s in states]
+    return grads if isinstance(params, (list, tuple)) else grads[0]
 
 
 def infer_beamformers(params, realization, sys: SystemParams) -> BeamformerSet:
@@ -449,62 +442,59 @@ def infer_batch(params, h, sys: SystemParams, dense=_dense) -> np.ndarray:
     return w
 
 
-# --- optimizer -----------------------------------------------------------------
+# --- training state and optimizer ---------------------------------------------
 
-@dataclass
-class AdamState:
-    m: list
-    v: list
-    t: int = 0
-
-
-def init_adam_state(params: GnnParams) -> AdamState:
-    return AdamState(m=[(np.zeros_like(l.w), np.zeros_like(l.b))
-                        for l in params.layers],
-                     v=[(np.zeros_like(l.w), np.zeros_like(l.b))
-                        for l in params.layers],
-                     t=0)
+def _layer_views(dims, flat: np.ndarray) -> GnnParams:
+    """GnnParams whose weights and biases are views into the flat array
+    `flat`, in layer_plan order, each weight followed by its bias."""
+    plan = layer_plan(dims)
+    parts = np.split(flat, np.cumsum([n for spec in plan for n in (
+        spec.fan_in * spec.fan_out, spec.fan_out)])[:-1])
+    return GnnParams(dims=dims, layers=[
+        FcLayer(w=w.reshape(spec.fan_in, spec.fan_out), b=b)
+        for spec, w, b in zip(plan, parts[::2], parts[1::2])])
 
 
-def _adam_update(x, g, m, v, lr, beta1, beta2, eps, c1, c2):
-    """New (x, m, v) of one array: m = beta1 m + (1 - beta1) g, v = beta2 v
-    + (1 - beta2) g^2, x - lr (m / c1) / (sqrt(v / c2) + eps), in that
-    order of operations, each result formed in place on its first
-    temporary; the inputs stay untouched."""
-    m = beta1 * m
-    m += (1 - beta1) * g
-    v = beta2 * v
-    g2 = g ** 2
-    g2 *= 1 - beta2
-    v += g2
-    step = m / c1
+class TrainState:
+    """One parameter set in training: a copy of its parameters x, their
+    gradient g and Adam's moments m and v, four flat arrays in the
+    parameters' dtype, and Adam's step count t.  The layers of `params`
+    and `grads` are views into x and g."""
+
+    def __init__(self, params: GnnParams):
+        self.x = np.concatenate([a.ravel() for layer in params.layers
+                                 for a in (layer.w, layer.b)])
+        self.g, self.m, self.v, *self.scratch = (np.zeros_like(self.x)
+                                                 for _ in range(5))
+        self.t = 0
+        self.params = _layer_views(params.dims, self.x)
+        self.grads = _layer_views(params.dims, self.g)
+
+
+def adam_step(state: TrainState, lr: float, beta1: float = 0.9,
+              beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """One bias-corrected Adam update of `state`, in place: m = beta1 m +
+    (1 - beta1) g, v = beta2 v + (1 - beta2) g^2, x -= lr (m / c1) /
+    (sqrt(v / c2) + eps) with c1 = 1 - beta1^t, c2 = 1 - beta2^t, in that
+    order of operations.  The scalars are Python floats, so they take the
+    state's precision."""
+    lr, beta1, beta2, eps = (float(a) for a in (lr, beta1, beta2, eps))
+    state.t += 1
+    c1, c2 = 1.0 - beta1 ** state.t, 1.0 - beta2 ** state.t
+    g, m, v, (step, den) = state.g, state.m, state.v, state.scratch
+    m *= beta1
+    m += np.multiply(g, 1 - beta1, out=step)
+    v *= beta2
+    np.square(g, out=step)
+    step *= 1 - beta2
+    v += step
+    np.divide(m, c1, out=step)
     step *= lr
-    den = v / c2
+    np.divide(v, c2, out=den)
     np.sqrt(den, out=den)
     den += eps
     step /= den
-    return np.subtract(x, step, out=step), m, v
-
-
-def adam_step(params: GnnParams, grads: GradientSet, state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
-    """One bias-corrected Adam update; returns new params and state."""
-    t = state.t + 1
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
-    new_layers, new_m, new_v = [], [], []
-    for layer, (dw, db), (mw, mb), (vw, vb) in zip(
-            params.layers, grads.layers, state.m, state.v):
-        w, mw, vw = _adam_update(layer.w, dw, mw, vw, lr, beta1, beta2, eps,
-                                 c1, c2)
-        b, mb, vb = _adam_update(layer.b, db, mb, vb, lr, beta1, beta2, eps,
-                                 c1, c2)
-        new_layers.append(FcLayer(w=w, b=b))
-        new_m.append((mw, mb))
-        new_v.append((vw, vb))
-    return (GnnParams(dims=params.dims, layers=new_layers),
-            AdamState(m=new_m, v=new_v, t=t))
+    state.x -= step
 
 
 # --- training loop -------------------------------------------------------------
@@ -546,7 +536,9 @@ def train(cfg: TrainConfig) -> TrainResult:
     Memory is bounded by the batch size, not by the test set: the held-out
     set is evaluated in batch_size pieces (`_mean_wsr`), and every step and
     piece reuses the arrays of one gnn.Workspace per parameter set, which
-    is dropped when training returns.
+    is dropped when training returns.  Each set trains as one TrainState,
+    updated in place; the best-on-test snapshot is a copy of its flat
+    parameter array.
     """
     sys = cfg.system
     if cfg.auto_scale:
@@ -557,8 +549,8 @@ def train(cfg: TrainConfig) -> TrainResult:
     rng_init = np.random.Generator(np.random.Philox(s_init))
     dims = scaled_dims(sys.n_antennas, cfg.scale_factor)
     n_models = 1 if cfg.tied else sys.k_sats
-    params_list = [init_params(dims, rng_init, dtype=np.float32)
-                   for _ in range(n_models)]
+    states = [TrainState(init_params(dims, rng_init, dtype=np.float32))
+              for _ in range(n_models)]
 
     rng_test = np.random.Generator(np.random.Philox(s_test))
     h_test = channel.sample_channel_batch(
@@ -566,12 +558,16 @@ def train(cfg: TrainConfig) -> TrainResult:
         rng_test)
     rng_train = np.random.Generator(np.random.Philox(s_train))
 
-    states = [init_adam_state(p) for p in params_list]
-    workspaces = [Workspace() for _ in params_list]
+    workspaces = [Workspace() for _ in states]
     steps_per_epoch = cfg.samples_per_epoch // cfg.batch_size
     history: list[EpochStats] = []
     best_test = -np.inf
-    best_params = [copy.deepcopy(p) for p in params_list]
+    best = [s.x.copy() for s in states]
+
+    def best_params():
+        sets = [_layer_views(dims, x) for x in best]
+        return sets[0] if cfg.tied else sets
+
     best_epoch = 0
     stale = 0
     stopped_early = False
@@ -585,24 +581,22 @@ def train(cfg: TrainConfig) -> TrainResult:
                 cfg.chan, cfg.batch_size, sys.k_sats, sys.m_users,
                 sys.n_antennas, rng_train)
             lr = lr_at(step, cfg.lr0, cfg.lr_decay, cfg.lr_decay_every)
-            mean_wsr, grads = _engine(params_list, h, sys, workspaces)
+            mean_wsr = _engine(states, h, sys, workspaces)
             if not np.isfinite(mean_wsr):
                 raise TrainingDivergedError(
                     f"loss became non-finite at step {step}",
-                    params=best_params[0] if cfg.tied else best_params)
-            for i in range(n_models):
-                params_list[i], states[i] = adam_step(
-                    params_list[i], grads[i], states[i], lr,
-                    cfg.beta1, cfg.beta2, cfg.eps)
+                    params=best_params())
+            for state in states:
+                adam_step(state, lr, cfg.beta1, cfg.beta2, cfg.eps)
             wsr_sum += mean_wsr
             step += 1
         train_wsr = wsr_sum / steps_per_epoch
-        test_wsr = _mean_wsr(params_list, h_test, sys, cfg.batch_size,
-                             workspaces)
+        test_wsr = _mean_wsr([s.params for s in states], h_test, sys,
+                             cfg.batch_size, workspaces)
         if not np.isfinite(test_wsr):
             raise TrainingDivergedError(
                 f"test evaluation non-finite after epoch {epoch}",
-                params=best_params[0] if cfg.tied else best_params)
+                params=best_params())
         history.append(EpochStats(epoch, lr, train_wsr, test_wsr))
         logger.info("epoch %d lr %.3g train %.6g test %.6g",
                     epoch, lr, train_wsr, test_wsr)
@@ -611,7 +605,8 @@ def train(cfg: TrainConfig) -> TrainResult:
                     if np.isfinite(best_test) else True)
         if test_wsr > best_test:
             best_test = test_wsr
-            best_params = [copy.deepcopy(p) for p in params_list]
+            for x, state in zip(best, states):
+                np.copyto(x, state.x)
             best_epoch = epoch
         stale = 0 if improved else stale + 1
         if cfg.early_stop and stale >= cfg.patience:
@@ -619,9 +614,9 @@ def train(cfg: TrainConfig) -> TrainResult:
             break
 
     return TrainResult(
-        params=best_params[0] if cfg.tied else best_params,
-        history=history, best_epoch=best_epoch, best_test_wsr=best_test,
-        stopped_early=stopped_early, input_scale=sys.input_scale)
+        params=best_params(), history=history, best_epoch=best_epoch,
+        best_test_wsr=best_test, stopped_early=stopped_early,
+        input_scale=sys.input_scale)
 
 
 # --- persistence ----------------------------------------------------------------

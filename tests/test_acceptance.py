@@ -63,8 +63,8 @@ def test_criterion_01_gradient_correctness(capsys):
     step = 1e-5
     compared, worst = 0, 0.0
     for li, lay in enumerate(params.layers):
-        for arr, garr, picks in ((lay.w, grads.layers[li][0], 6),
-                                 (lay.b, grads.layers[li][1], 3)):
+        for arr, garr, picks in ((lay.w, grads.layers[li].w, 6),
+                                 (lay.b, grads.layers[li].b, 3)):
             for idx in {np.unravel_index(int(rng.integers(arr.size)),
                                          arr.shape) for _ in range(picks)}:
                 orig = arr[idx]
@@ -122,7 +122,7 @@ def test_criterion_02_baseline_oracles(capsys):
 
     wm = beamform.mrt_local(h, 1.0).w
     wr_hi = beamform.mmse_local(h, 1.0, sigma2=1e9).w
-    wz = beamform.zf_local(h, 1.0, normalization="trace").w
+    wz = beamform.zf_local(h, 1.0).w
     wr_lo = beamform.mmse_local(h, 1.0, sigma2=1e-12).w
     for k in range(2):
         for m in range(4):

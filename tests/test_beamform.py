@@ -219,14 +219,6 @@ class TestZf:
                                match="at satellite 0:"):
                 beamform.zf_local(h[2], p)
 
-    def test_trace_normalization_budget(self):
-        rng = np.random.default_rng(64)
-        h = rand_channel(rng)
-        w = beamform.zf_local(h, 3.0, normalization="trace").w
-        for k in range(2):
-            assert np.sum(np.abs(w[k]) ** 2) == pytest.approx(3.0, rel=1e-9)
-
-
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
     @given(k=st.integers(1, 3), m=st.integers(1, 4), extra=st.integers(0, 2),
@@ -244,7 +236,7 @@ class TestZf:
                 assert scheme(scaled, power).w.tobytes() == want.tobytes()
 
 
-def zf_check_first(h, power, local: bool, normalization="per_stream"):
+def zf_check_first(h, power, local: bool):
     """Zero forcing with the exact rank check run before the solve: one
     SVD per matrix, then the same solve and normalization."""
     hh = np.asarray(h)
@@ -264,7 +256,7 @@ def zf_check_first(h, power, local: bool, normalization="per_stream"):
             f"rank-deficient channel matrix at {', '.join(where)}: "
             "zero-forcing requires linearly independent user channels")
     wt = beamform._inverse_directions(mats)
-    w = beamform._beams(beamform._zf_normalize(wt, power, normalization))
+    w = beamform._beams(beamform._zf_normalize(wt, power))
     return w if local else beamform.unpooled(w, k_sats, n_ant)
 
 
@@ -327,8 +319,6 @@ class TestZfRankCertificate:
                 calls = [
                     (lambda: beamform.zf_local(h, power).w,
                      lambda: zf_check_first(h, power, local=True)),
-                    (lambda: beamform.zf_local(h, power, "trace").w,
-                     lambda: zf_check_first(h, power, True, "trace")),
                     (lambda: beamform.zf_global(h, power).w,
                      lambda: zf_check_first(h, power, local=False))]
                 for got, want in calls:
@@ -412,13 +402,32 @@ class TestMmse:
     def test_low_noise_limit_is_zf(self):
         rng = np.random.default_rng(71)
         h = rand_channel(rng)
-        wz = beamform.zf_local(h, 1.0, normalization="trace").w
+        wz = beamform.zf_local(h, 1.0).w
         wr = beamform.mmse_local(h, 1.0, sigma2=1e-12).w
         for k in range(2):
             for m in range(4):
                 cos = abs(np.vdot(wr[k, m], wz[k, m])) / (
                     np.linalg.norm(wr[k, m]) * np.linalg.norm(wz[k, m]))
                 assert math.acos(min(1.0, cos)) <= 1e-3
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(k=st.integers(1, 3), m=st.integers(1, 4), n=st.integers(1, 4),
+           e=st.integers(-400, 400), sigma2=st.floats(1e-2, 1e2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_power_of_two_scaling_keeps_every_bit(self, k, m, n, e, sigma2,
+                                                  seed):
+        # (h 2^e, sigma2 2^2e) scales the directions by 2^-e; each beam
+        # matrix is prescaled before its power meets ZERO_POWER, so a weak
+        # channel keeps its beams.  |e| <= 400 keeps every value, the Gram
+        # entries and the directions' powers included, in the normal range
+        h = rand_channel(np.random.Generator(np.random.Philox(seed)), k, m, n)
+        scaled = np.ldexp(h.real, e) + 1j * np.ldexp(h.imag, e)
+        for power in (2.0, np.array([0.5, 3.0])):
+            for scheme in (beamform.mmse_local, beamform.mmse_global):
+                want = scheme(h, power, sigma2).w
+                got = scheme(scaled, power, math.ldexp(sigma2, 2 * e)).w
+                assert got.tobytes() == want.tobytes()
 
     def test_power_budgets(self):
         rng = np.random.default_rng(72)

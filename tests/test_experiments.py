@@ -165,24 +165,33 @@ class TestConfigLoading:
 
     def test_budget_check_covers_every_policy(self):
         # M*sigma2/P is finite down to about 2.2e-320 W at M = 4; split
-        # divides P by K, so the least usable budget grows with K
-        sigma2 = experiments.db_to_linear(-90.0 - 30.0)
-        assert experiments._check_budget(-3190.0, (1,), 4, sigma2, "k") \
+        # divides P by K, so the least usable budget grows with K.  At
+        # d0 = 1 cm the channel is strong enough for a positive rate there
+        strong = experiments.ExperimentConfig(d0_m=0.01)
+        assert experiments._check_budget(strong, -3190.0, (1,), "k") \
             == experiments.db_to_linear(-3190.0)
         with pytest.raises(ConfigError, match="K up to 8"):
-            experiments._check_budget(-3190.0, (1, 8), 4, sigma2, "k")
+            experiments._check_budget(strong, -3190.0, (1, 8), "k")
         with pytest.raises(ConfigError, match="K up to 3"):
-            experiments._check_budget(3080.0, (3,), 4, sigma2, "k")
-        experiments._check_budget(3080.0, (1,), 4, sigma2, "k")
+            experiments._check_budget(strong, 3080.0, (3,), "k")
+        experiments._check_budget(strong, 3080.0, (1,), "k")
+        # at 600 km every rate of that budget underflows to zero
+        with pytest.raises(ConfigError, match="^best-case SNR 0.0 .* "
+                           "carrier_freq_hz .* d0_m .* p_dbw .* sigma2_dbm"):
+            experiments._check_budget(experiments.ExperimentConfig(),
+                                      -3190.0, (1,), "[system] p_dbw")
 
     def test_least_usable_budget_gives_finite_rates(self, tmp_path):
+        # on the 600 km channel this budget's rates were all 0.0; at 1 cm
+        # they are positive
         p = tmp_path / "c.ini"
         p.write_text(MICRO_INI.replace("k_sats = 1", "k_sats = 2\n"
-                                       "p_dbw = -3190"))
+                                       "p_dbw = -3190\nd0_m = 0.01"))
         config = load_config(str(p))
         summary = experiments.run_eval(
             config, str(tmp_path), schemes=list(ALL_SCHEMES[:5]), size=3)
         assert all(np.isfinite(v).all() for v in summary.values())
+        assert all(np.mean(v) > 0.0 for v in summary.values())
 
     def test_bits_checked(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -392,11 +401,6 @@ class TestBudgetAxis:
         watts = np.array([db_to_linear(v) for v in p_dbw])
         per_sat, total = budget_for_policy(policy, watts, k)
         assert_budget_axis_bytes(h, per_sat, total, sigma2, CLASSICAL)
-        # the trace-normalized ZF takes the axis as well
-        got = beamform.zf_local(h, per_sat, normalization="trace")
-        for i, p in enumerate(got.power_budget):
-            one = beamform.zf_local(h, float(p), normalization="trace")
-            assert got.w[i].tobytes() == one.w.tobytes()
 
     def test_scalar_budget_keeps_shape(self):
         h = random_stack(np.random.default_rng(5), 3, 2, 2, 2)
@@ -613,7 +617,8 @@ class TestSweep:
         with pytest.raises(ConfigError, match=r"^\[system\] p_dbw = .* "
                            r"K up to 100000"):
             experiments.run_sweep(
-                dataclasses.replace(micro["config"], p_dbw=-3195.0),
+                dataclasses.replace(micro["config"], p_dbw=-3195.0,
+                                    d0_m=0.01),
                 str(tmp_path), "k_sats", (1, 100000), schemes=["mrt"],
                 size=2)
         assert not os.listdir(tmp_path)
@@ -1225,18 +1230,31 @@ class TestCliContract:
         assert rows[2].split(",")[0] == "mrt_local"
         assert float(rows[2].split(",")[2]) > 0.0
 
-    def test_tiny_channel_gives_positive_zf_rates(self, tmp_path):
-        # |h| near 1e-179: its Gram matrix underflowed to zero, and ZF
-        # failed as "Singular matrix" on channels of condition number ~10
+    @pytest.mark.parametrize("freq", ["2.3494948343216815e+165", "1e168"])
+    def test_rates_below_the_float_range_exit_2(self, tmp_path, capsys,
+                                                freq):
+        # best-case SNRs 8.9e-311 and 0.0: every rate would underflow, and
+        # eval used to write means of 0.0 with exit 0
         (tmp_path / "c.ini").write_text(
-            "[system]\ncarrier_freq_hz = 2.3494948343216815e+165\n")
+            f"[system]\ncarrier_freq_hz = {freq}\n")
+        capsys.readouterr()
+        assert cli.main(["--config", str(tmp_path / "c.ini"), "--out",
+                         str(tmp_path / "out"), "eval", "--schemes",
+                         ",".join(CLASSICAL), "--size", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "carrier_freq_hz" in err, err
+        assert os.listdir(tmp_path) == ["c.ini"]
+
+    def test_weakest_normal_channel_gives_positive_rates(self, tmp_path):
+        # |h| near 1e-160, best-case SNR 5.0e-308: all five schemes keep
+        # positive means; MMSE's beams once fell under its zero-power guard
+        (tmp_path / "c.ini").write_text("[system]\ncarrier_freq_hz = 1e164\n")
         out = tmp_path / "out"
         assert cli.main(["--config", str(tmp_path / "c.ini"), "--out",
-                         str(out), "eval", "--schemes", "zf_local,zf_global",
+                         str(out), "eval", "--schemes", ",".join(CLASSICAL),
                          "--size", "8"]) == 0
         rows = (out / "eval_summary.csv").read_text().splitlines()[2:]
-        assert [row.split(",")[0] for row in rows] == ["zf_local",
-                                                       "zf_global"]
+        assert [row.split(",")[0] for row in rows] == list(CLASSICAL)
         assert all(float(row.split(",")[2]) > 0.0 for row in rows)
 
 
