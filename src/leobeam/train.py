@@ -562,16 +562,15 @@ def train(cfg: TrainConfig) -> TrainResult:
     steps_per_epoch = cfg.samples_per_epoch // cfg.batch_size
     history: list[EpochStats] = []
     best_test = -np.inf
+    best_epoch = 0
+    stale = 0
+    stopped_early = False
+    step = 0
     best = [s.x.copy() for s in states]
 
     def best_params():
         sets = [_layer_views(dims, x) for x in best]
         return sets[0] if cfg.tied else sets
-
-    best_epoch = 0
-    stale = 0
-    stopped_early = False
-    step = 0
 
     for epoch in range(1, cfg.epochs + 1):
         wsr_sum = 0.0

@@ -182,8 +182,8 @@ class TestConfigLoading:
                                       -3190.0, (1,), "[system] p_dbw")
 
     def test_least_usable_budget_gives_finite_rates(self, tmp_path):
-        # on the 600 km channel this budget's rates were all 0.0; at 1 cm
-        # they are positive
+        # on the 600 km channel every rate of this budget underflows to 0.0
+        # (exit 2); at 1 cm they are positive
         p = tmp_path / "c.ini"
         p.write_text(MICRO_INI.replace("k_sats = 1", "k_sats = 2\n"
                                        "p_dbw = -3190\nd0_m = 0.01"))
@@ -1234,7 +1234,7 @@ class TestCliContract:
     def test_rates_below_the_float_range_exit_2(self, tmp_path, capsys,
                                                 freq):
         # best-case SNRs 8.9e-311 and 0.0: every rate would underflow, and
-        # eval used to write means of 0.0 with exit 0
+        # a mean of 0.0 with exit 0 must not pass for a result
         (tmp_path / "c.ini").write_text(
             f"[system]\ncarrier_freq_hz = {freq}\n")
         capsys.readouterr()
@@ -1247,7 +1247,7 @@ class TestCliContract:
 
     def test_weakest_normal_channel_gives_positive_rates(self, tmp_path):
         # |h| near 1e-160, best-case SNR 5.0e-308: all five schemes keep
-        # positive means; MMSE's beams once fell under its zero-power guard
+        # positive means; MMSE's beams stay above `_rescale`'s zero guard
         (tmp_path / "c.ini").write_text("[system]\ncarrier_freq_hz = 1e164\n")
         out = tmp_path / "out"
         assert cli.main(["--config", str(tmp_path / "c.ini"), "--out",

@@ -119,8 +119,8 @@ class TestGradients:
         for p, g in zip(sets, grads):
             for lay, glay in zip(p.layers, g.layers):
                 for arr, garr in ((lay.w, glay.w), (lay.b, glay.b)):
-                    # up to four entries, for one whose +-step moves no
-                    # kink: the loss is not smooth over them
+                    # the loss is smooth only where +-step moves no kink:
+                    # up to four entries are drawn to find one
                     for _ in range(4):
                         idx = np.unravel_index(int(gen.integers(arr.size)),
                                                arr.shape)
