@@ -143,11 +143,9 @@ def _rescale(ww: np.ndarray, p) -> np.ndarray:
     """ww scaled to budget p per satellite; dead blocks become zero.  p is
     a scalar, or (P, 1, ..., 1) budgets for beams ww that lead with the
     matching P axis."""
-    out = ww.astype(complex)  # a copy in the layout of ww
-    praw = np.sum(np.abs(out) ** 2, axis=(-2, -1), keepdims=True)
+    praw = np.sum(np.abs(ww) ** 2, axis=(-2, -1), keepdims=True)
     dead = praw < ZERO_POWER
-    out *= np.where(dead, 0.0, np.sqrt(p / np.where(dead, 1.0, praw)))
-    return out
+    return ww * np.where(dead, 0.0, np.sqrt(p / np.where(dead, 1.0, praw)))
 
 
 def _prescaled(hh: np.ndarray, axis) -> np.ndarray:

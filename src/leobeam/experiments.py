@@ -580,7 +580,8 @@ def _check_budget(config, p_dbw: float, k_values, where: str) -> float:
     budget overflows it).  The best-case SNR, (a sqrt(K P))^2 / sigma2 for
     K satellites at budget P/K combining coherently on the largest
     deterministic amplitude a, must be a normal float, or every rate
-    underflows to zero.  Otherwise ConfigError names `where`.
+    underflows to zero; an infinite a leaves no finite channel.  Otherwise
+    ConfigError names `where` or the channel keys.
     """
     watts = db_to_linear(p_dbw)
     k = max(k_values)
@@ -594,6 +595,10 @@ def _check_budget(config, p_dbw: float, k_values, where: str) -> float:
             f"M*sigma2/P finite")
     amp = float(np.max(channel.deterministic_amplitudes(
         config.channel_params(), config.m_users)))
+    if amp == math.inf:
+        raise ConfigError(f"[system] carrier_freq_hz = "
+                          f"{config.carrier_freq_hz!r} and d0_m = "
+                          f"{config.d0_m!r} overflow the channel amplitude")
     gain = amp * math.sqrt(min(k_values) * watts)
     snr = gain * gain / config.sigma2   # as rates form it: |c|^2 first
     if not snr >= np.finfo(float).tiny:

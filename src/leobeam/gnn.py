@@ -11,12 +11,13 @@ beams are rescaled to the exact per-satellite power budget.
 one batch, evaluates MLP1 once per node and takes the dense layer as a
 callback, so training, float inference, the instrumented per-satellite
 forward and the fixed-point accelerator model all compute the same network
-with the same code.  A training run also passes a `Workspace`, whose
-buffers the pass fills instead of allocating its large arrays anew.  The
-pairwise schedule `graph_conv`, which evaluates MLP1 once per ordered
-neighbor pair, is kept only as a reference.  The forward, the reference
-and the backward in `train` all address a conv as the slice of its four
-dense layers (`layers[2:6]`, `layers[6:10]`).
+with the same code.  A pass takes its large arrays from an allocator:
+`FRESH`, the default, gives new ones on every call; a training run passes a
+`Workspace`, whose buffers each step fills again.  The pairwise schedule
+`graph_conv`, which evaluates MLP1 once per ordered neighbor pair, is kept
+only as a reference.  The forward, the reference and the backward in
+`train` all address a conv as the slice of its four dense layers
+(`layers[2:6]`, `layers[6:10]`).
 """
 
 from __future__ import annotations
@@ -226,33 +227,19 @@ class Workspace:
             spec.name, (len(x), spec.fan_out), x.dtype))
 
 
-def _buffer(ws: Workspace | None, role, shape, dtype) -> np.ndarray:
-    """The workspace's buffer for `role`, or a fresh one without one."""
-    return np.empty(shape, dtype) if ws is None else ws.take(role, shape,
-                                                             dtype)
+class _Fresh:
+    """The allocator of a pass that keeps nothing, and the default of
+    every pass: `take` returns a new array on every call, so no two takes
+    share memory, and `dense` is `_dense`, whose outputs are new too."""
+
+    @staticmethod
+    def take(role, shape, dtype) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+    dense = staticmethod(_dense)
 
 
-def _out(ws: Workspace | None, role, shape, dtype):
-    """The workspace's buffer for `role` as a numpy `out=`, or None, with
-    which numpy allocates the result itself."""
-    return None if ws is None else ws.take(role, shape, dtype)
-
-
-def _outs(ws: Workspace | None, role, count: int, shape, dtype) -> list:
-    """`count` numpy `out=` arguments of one shape: the rows of the
-    workspace's buffer for `role`, or None each."""
-    if ws is None:
-        return [None] * count
-    return list(ws.take(role, (count, *shape), dtype))
-
-
-def _contiguous(ws: Workspace | None, role, src) -> np.ndarray:
-    """A C-contiguous copy of src, in the workspace's buffer for `role`."""
-    if ws is None:
-        return np.ascontiguousarray(src)
-    buf = ws.take(role, src.shape, src.dtype)
-    np.copyto(buf, src)
-    return buf
+FRESH = _Fresh()
 
 
 def _count(counts, key, amount):
@@ -274,61 +261,64 @@ def _counted(dense, counts):
     return counted
 
 
-def _neighbor_max(h, out, want_route: bool = True, ws=None, name: str = ""):
+def _neighbor_max(h, out, want_route: bool = True, ws=FRESH, name: str = ""):
     """Per-node elementwise max over the other nodes of each graph.
 
     h has shape (G, M, F): G independent graphs of M nodes.  The aggregate
     is written to `out`, of the same shape.  Returns the gradient routing,
     or None when it is not wanted and for M = 1, where the aggregate is
-    zero (the identity of max over ReLU outputs) and has no sources.  With
-    a workspace `ws`, the scratch arrays come from its "nm" roles, shared
-    by every call, and the routing from roles of the given `name`.
+    zero (the identity of max over ReLU outputs) and has no sources.  The
+    allocator `ws` gives the scratch from its "nm" roles, shared by every
+    call, and the routing from roles of the given `name`.
 
-    The work is node-major, on a contiguous (M, G, F) copy of h.  Running
-    maxima prefix[j] over nodes 0..j and suffix[j] over nodes j..M-1 give
-    node i's aggregate as max(prefix[i-1], suffix[i+1]).  Per (graph,
-    feature) only two nodes ever win: every node but the top one (the first
-    maximum) aggregates the top node, and the top node aggregates the
-    runner-up (the first maximum among the other nodes).  Ties thus go to
-    the lowest node index, as with argmax.  The routing is a pair of
-    boolean node-major (M, G, F) masks, `top` and `second`, marking those
-    two nodes.
+    The work is node-major.  Running maxima prefix[j] over nodes 0..j and
+    after[i] over nodes i+1..M-1 give node i's aggregate as
+    max(prefix[i-1], after[i]).  One "nm" block of 3M - 3 rows of (G, F)
+    holds h's M node rows, then prefix[1..M-1], then after[0..M-3];
+    prefix[M-1], the overall maximum, is formed only for the routing.  Per
+    (graph, feature) only two nodes ever win: every node but the top one
+    (the first maximum) aggregates the top node, and the top node
+    aggregates the runner-up (the first maximum among the other nodes).
+    Ties thus go to the lowest node index, as with argmax.  The routing is
+    a pair of boolean node-major (M, G, F) masks, `top` and `second`,
+    marking those two nodes.
     """
     g, m, f = h.shape
     if m == 1:
         out.fill(0.0)
         return None
-    hn = _contiguous(ws, "nm", h.transpose(1, 0, 2))
-    pre = _outs(ws, "nm.prefix", m - 1, (g, f), h.dtype)
+    scratch = ws.take("nm", (3 * m - 3, g, f), h.dtype)
+    hn = scratch[:m]
+    hn[...] = h.transpose(1, 0, 2)
     prefix = [hn[0]]
-    for j in range(1, m):
-        prefix.append(np.maximum(prefix[-1], hn[j], out=pre[j - 1]))
-    suf = _outs(ws, "nm.suffix", m - 1, (g, f), h.dtype)
-    suffix = [hn[m - 1]]
-    for j in range(m - 2, -1, -1):
-        suffix.append(np.maximum(hn[j], suffix[-1], out=suf[j]))
-    suffix.reverse()
-    out[:, 0] = suffix[1]
+    for j in range(1, m - 1):
+        prefix.append(np.maximum(prefix[-1], hn[j], out=scratch[m - 1 + j]))
+    after = [hn[m - 1]]
+    for j in range(m - 2, 0, -1):
+        after.append(np.maximum(hn[j], after[-1], out=scratch[2 * m - 2 + j]))
+    after.reverse()
+    out[:, 0] = after[0]
     out[:, m - 1] = prefix[m - 2]
     for i in range(1, m - 1):
-        np.maximum(prefix[i - 1], suffix[i + 1], out=out[:, i])
+        np.maximum(prefix[i - 1], after[i], out=out[:, i])
     if not want_route:
         return None
 
     # top: the node at which the running maximum first reaches the overall
     # maximum.  The runner-up value is what the top node aggregates, the
     # smallest aggregate; second marks the first other node holding it.
-    top = _buffer(ws, name + ".top", hn.shape, bool)
+    prefix.append(np.maximum(prefix[-1], hn[m - 1], out=scratch[2 * m - 2]))
+    top = ws.take(name + ".top", hn.shape, bool)
     reached = top[0] = hn[0] == prefix[-1]
     for j in range(1, m):
         now = prefix[j] == prefix[-1]
         np.greater(now, reached, out=top[j])
         reached = now
     runner = np.minimum(out[:, 0], out[:, 1],
-                        out=_out(ws, "nm.runner", (g, f), h.dtype))
+                        out=ws.take("nm.runner", (g, f), h.dtype))
     for i in range(2, m):
         np.minimum(runner, out[:, i], out=runner)
-    second = _buffer(ws, name + ".second", hn.shape, bool)
+    second = ws.take(name + ".second", hn.shape, bool)
     seen = np.zeros((g, f), dtype=bool)
     for j in range(m):
         hit = (hn[j] == runner) > top[j]
@@ -348,7 +338,7 @@ class _ConvCache(NamedTuple):
 
 
 def _conv_forward(layers, specs, x, m: int, keep: bool, dense=_dense,
-                  ws=None):
+                  ws=FRESH):
     """One graph conv: MLP1 once per node, the neighbor max, then MLP2 on
     [x, aggregate].  layers/specs are the conv's four dense layers; x has
     shape (rows, l3), rows ordered (graph, node), m nodes a graph.  The
@@ -357,7 +347,7 @@ def _conv_forward(layers, specs, x, m: int, keep: bool, dense=_dense,
     h1 = dense(x, layers[0], specs[0])
     h2 = dense(h1, layers[1], specs[1])
     rows, width = x.shape
-    comb = _buffer(ws, specs[2].name + ".in", (rows, width + h2.shape[1]),
+    comb = ws.take(specs[2].name + ".in", (rows, width + h2.shape[1]),
                    x.dtype)
     comb[:, :width] = x
     route = _neighbor_max(h2.reshape(-1, m, h2.shape[1]),
@@ -379,14 +369,15 @@ class _GroupCache(NamedTuple):
 
 
 def _forward_group(params: GnnParams, h, power: float, keep: bool = False,
-                   dense=_dense, ws=None):
+                   dense=_dense, ws=FRESH):
     """Beams for a stack of graphs, one per trailing (M, N) matrix of h.
 
     All graphs share `params` and run as one row stack.  Returns (cache, w)
     with w of h's shape; the cache holds what the backward pass needs, and
-    is None unless keep.  A Workspace `ws` holds the concatenations and the
-    neighbor max's arrays, and with `ws.dense` as the layer the dense
-    outputs too; the cache then lives in it.
+    is None unless keep.  The allocator `ws` gives the concatenations and
+    the neighbor max's arrays, and with `ws.dense` as the layer the dense
+    outputs too: new ones from FRESH, or a Workspace's, in which the cache
+    then lives.
     """
     n = params.dims.n_antennas
     if h.shape[-1] != n:

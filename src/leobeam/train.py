@@ -14,7 +14,9 @@ node's.
 
 A parameter set trains as one `TrainState`: four flat arrays hold its
 parameters, their gradient and Adam's two moments, and the layers view
-into the first two, so a step updates them in place.
+into the first two, so a step updates them in place.  Passes take their
+arrays from `gnn.FRESH`, or in `train` from one reusing `gnn.Workspace`
+per parameter set.
 
 `train` runs all of this in float32; the engine itself follows the dtype
 of the parameters it is given, so float64 parameters, such as a loaded
@@ -46,11 +48,10 @@ import numpy as np
 
 from . import channel
 from .beamform import ZERO_POWER, BeamformerSet, pooled, rate_terms, unpooled
-from .gnn import (ArtifactError, FcLayer, GnnParams, Workspace, atomic_write,
-                  csv_file, init_params, layer_plan, read_exact,
-                  read_params, scaled_dims, write_files, write_params, _buffer,
-                  _contiguous, _dense, _ensure_finite, _forward_group, _out,
-                  _outs, _power_scale)
+from .gnn import (FRESH, ArtifactError, FcLayer, GnnParams, Workspace,
+                  atomic_write, csv_file, init_params, layer_plan, read_exact,
+                  read_params, scaled_dims, write_files, write_params,
+                  _dense, _ensure_finite, _forward_group, _power_scale)
 
 logger = logging.getLogger(__name__)
 
@@ -165,12 +166,12 @@ def lr_at(step: int, lr0: float = 1e-3, decay: float = 0.995,
 # Every pass is deterministic for a fixed row count.
 
 
-def _relu_mask(post, ws):
+def _relu_mask(post, ws=FRESH):
     """post > 0, the ReLU mask of the layer that produced post."""
-    return np.greater(post, 0, out=_out(ws, "relu", post.shape, bool))
+    return np.greater(post, 0, out=ws.take("relu", post.shape, bool))
 
 
-def _dense_backward(layer, x, gy, mask, blocks, acc, ws=None,
+def _dense_backward(layer, x, gy, mask, blocks, acc, ws=FRESH,
                     want_gx: bool = True, x_relu: bool = True):
     """Backward of y = x @ w + b, or of relu of it where `mask` marks
     y > 0.  Overwrites gy.  Adds dW, db of each row block of `blocks`, in
@@ -191,34 +192,32 @@ def _dense_backward(layer, x, gy, mask, blocks, acc, ws=None,
     return np.matmul(gy, layer.w.T, out=x), x_mask
 
 
-def _neighbor_max_backward(g_agg, route, out=None, ws=None):
-    """Gradient wrt h of gnn._neighbor_max, given g_agg of shape (G, M, F).
-    It is written to `out`, a contiguous array of g_agg's size, if given.
+def _neighbor_max_backward(g_agg, route, out, ws=FRESH):
+    """Gradient wrt h of gnn._neighbor_max, given g_agg of shape (G, M, F),
+    written to `out`, a contiguous array of g_agg's size.
 
     The top node receives the sum of the other nodes' gradients, in node
     order; the runner-up receives the top node's.  The masks select terms
     by multiplication, which here is several times cheaper than np.where;
     kept boolean, they take an eighth of the memory of float masks.  The
-    scratch comes from the forward's "nm" roles of the workspace `ws`.
+    scratch comes from the forward's "nm" roles of the allocator `ws`.
     """
-    if out is None:
-        out = np.empty(g_agg.size, dtype=g_agg.dtype)
     gh = out.reshape(g_agg.shape)
     if route is None:
         gh.fill(0.0)
         return gh
     top, second = route
-    gn = _contiguous(ws, "nm", g_agg.transpose(1, 0, 2))
+    g, m, f = g_agg.shape
+    scratch = ws.take("nm", (3 * m - 3, g, f), g_agg.dtype)
+    gn = scratch[:m]
+    gn[...] = g_agg.transpose(1, 0, 2)
     # holds the masked terms first, and the result at the end
     picked = np.multiply(gn, top, out=out.reshape(gn.shape))
     gn -= picked
-    shape = gn.shape[1:]
-    rest = np.add(gn[0], gn[1], out=_out(ws, "nm.runner", shape, gn.dtype))
+    rest = np.add(gn[0], gn[1], out=ws.take("nm.runner", (g, f), gn.dtype))
     # the forward's first prefix row is free by now
-    at_top = np.add(picked[0], picked[1],
-                    out=_outs(ws, "nm.prefix", len(gn) - 1, shape,
-                              gn.dtype)[0])
-    for i in range(2, len(gn)):
+    at_top = np.add(picked[0], picked[1], out=scratch[m])
+    for i in range(2, m):
         rest += gn[i]
         at_top += picked[i]
     np.multiply(top, rest, out=gn)
@@ -253,23 +252,23 @@ def _conv_backward(cache, layers, g, mask, m: int, blocks, acc, ws):
 
 def _powernorm_backward(y, gw, power: float):
     # w = alpha(y) * y with alpha = sqrt(P / sum |y|^2); quotient rule gives
-    # gy = alpha*g - (alpha/p) * Re(sum conj(g) y) * y, zero rows stay zero
+    # gy = alpha*g - (alpha/p) * Re(sum conj(g) y) * y; alpha is 0 on a dead
+    # block, so its rows stay zero
     praw, alpha = _power_scale(y, power)
     s = np.sum(gw.real * y.real + gw.imag * y.imag, axis=(2, 3))
-    coef = np.where(praw < ZERO_POWER, 0.0,
-                    alpha / np.maximum(praw, ZERO_POWER))
+    coef = alpha / np.maximum(praw, ZERO_POWER)
     return alpha[..., None, None] * gw - (coef * s)[..., None, None] * y
 
 
 def _backward_group(params: GnnParams, cache, gw, power: float, blocks,
-                    grads: GnnParams, ws=None) -> None:
+                    grads: GnnParams, ws=FRESH) -> None:
     """Adds the gradients of the row blocks `blocks` into grads.
 
     cache is `gnn._forward_group`'s; gw has shape (S, B, M, N), the loss
     gradient wrt the group's beams.  The pass runs in place: each layer's
     input gradient overwrites its input in the cache, once that input's
     ReLU mask is taken, so the cache is used up.  The masks come from the
-    workspace `ws` if given.
+    allocator `ws`.
     """
     gy = _powernorm_backward(cache.y, gw, power)
     n = params.dims.n_antennas
@@ -321,14 +320,15 @@ def _complex_dtype(params) -> np.dtype:
 
 
 def _forward_beams(params, batch, sys: SystemParams, keep: bool,
-                   dense=_dense, workspaces=None, out=None):
+                   dense=None, workspaces=None, out=None):
     """Scaled channels h/s, beams, and per parameter set in use (the set,
     its satellites' index, its forward cache if keep).  The one place that
     assigns satellites to sets: set i of P serves satellites i, i + P, ...,
-    which run stacked through one pass with `dense` as the layer, or with
-    `workspaces[i].dense` if a list of P gnn.Workspace is given.  The
-    channels and beams are written into the pair of arrays `out` if given,
-    else into new ones, in the parameters' complex dtype."""
+    which run stacked through one pass in the allocator `workspaces[i]`
+    (gnn.FRESH for every set if not given), with `dense` as the layer if
+    given, else the allocator's.  The channels and beams are written into
+    the pair of arrays `out` if given, else into new ones, in the
+    parameters' complex dtype."""
     params_list = _params_list(params)
     h = np.asarray(batch)
     if h.ndim != 4:
@@ -344,12 +344,11 @@ def _forward_beams(params, batch, sys: SystemParams, keep: bool,
     hs[...] = h / sys.input_scale
     n_sets = len(params_list)
     groups = []
-    for i, p in enumerate(params_list[:k]):
+    for i, (p, ws) in enumerate(zip(params_list[:k],
+                                    workspaces or [FRESH] * n_sets)):
         sats = np.s_[:, i::n_sets]
-        ws = None if workspaces is None else workspaces[i]
         cache, wg = _forward_group(p, hs[sats].transpose(1, 0, 2, 3),
-                                   sys.power, keep,
-                                   dense if ws is None else ws.dense, ws)
+                                   sys.power, keep, dense or ws.dense, ws)
         groups.append((p, sats, cache))
         w[sats] = wg.transpose(1, 0, 2, 3)
     return hs, w, groups
@@ -365,8 +364,9 @@ def _rate_objective(hs, w, sys: SystemParams):
 def _engine(states, batch, sys: SystemParams, workspaces=None) -> float:
     """Mean WSR (the loss is its negative) of the parameters of the list
     of TrainState `states`, whose gradient arrays it overwrites with the
-    loss gradient.  `workspaces` as in `_forward_beams`; the pass then
-    allocates only small arrays."""
+    loss gradient.  `workspaces` as in `_forward_beams`; with Workspaces
+    the pass allocates only small arrays."""
+    workspaces = workspaces or [FRESH] * len(states)
     hs, w, groups = _forward_beams([s.params for s in states], batch, sys,
                                    True, workspaces=workspaces)
     b, _, m, _ = hs.shape
@@ -376,11 +376,10 @@ def _engine(states, batch, sys: SystemParams, workspaces=None) -> float:
     for state in states:
         state.g.fill(0.0)
     rows = b * m
-    for i, ((p, sats, cache), state) in enumerate(zip(groups, states)):
+    for (p, sats, cache), state, ws in zip(groups, states, workspaces):
         gs = gw[sats].transpose(1, 0, 2, 3)
         blocks = [slice(j * rows, (j + 1) * rows) for j in range(len(gs))]
-        _backward_group(p, cache, gs, sys.power, blocks, state.grads,
-                        None if workspaces is None else workspaces[i])
+        _backward_group(p, cache, gs, sys.power, blocks, state.grads, ws)
     return mean_wsr
 
 
@@ -390,19 +389,18 @@ def _mean_wsr(params, batch, sys: SystemParams, chunk=None,
 
     The forward runs in pieces of `chunk` samples if given, the remainder
     joining the last piece, each writing its scaled channels and beams into
-    one pair of batch-sized arrays (from the first workspace, if given),
-    and the rate objective runs once on them.  The mean is deterministic
-    for a fixed chunk size.  It equals the whole-batch one bit for bit
-    only where the BLAS computes rows independently of the row count (see
-    above): in float64 at the desk shapes, but not in float32.
+    one pair of batch-sized arrays from the first allocator, and the rate
+    objective runs once on them.  The mean is deterministic for a fixed
+    chunk size.  It equals the whole-batch one bit for bit only where the
+    BLAS computes rows independently of the row count (see above): in
+    float64 at the desk shapes, but not in float32.
     """
     h = np.asarray(batch)
     size = chunk or len(h) or 1
     edges = [i * size for i in range(max(1, len(h) // size))] + [len(h)]
-    ws = None if workspaces is None else workspaces[0]
+    ws = (workspaces or [FRESH])[0]
     dtype = _complex_dtype(params)
-    hs, w = (_buffer(ws, role, h.shape, dtype) for role in ("eval.h",
-                                                            "eval.w"))
+    hs, w = (ws.take(role, h.shape, dtype) for role in ("eval.h", "eval.w"))
     for lo, hi in zip(edges, edges[1:]):
         _forward_beams(params, h[lo:hi], sys, False, workspaces=workspaces,
                        out=(hs[lo:hi], w[lo:hi]))

@@ -121,6 +121,15 @@ class TestEnforcePower:
         out = beamform._rescale(np.zeros((2, 2, 2), dtype=complex), 1.0)
         assert np.all(out == 0)
 
+    def test_input_untouched(self):
+        # MMSE hands `_rescale` a new array, so it scales into another
+        # one and leaves its input as it was
+        w = rand_channel(np.random.default_rng(42), k=3, m=2, n=4)
+        before = w.copy()
+        out = beamform._rescale(w, 2.5)
+        assert w.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, w)
+
 
 class TestMrt:
     def test_directions_follow_channel(self):

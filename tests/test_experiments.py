@@ -1257,6 +1257,41 @@ class TestCliContract:
         assert [row.split(",")[0] for row in rows] == list(CLASSICAL)
         assert all(float(row.split(",")[2]) > 0.0 for row in rows)
 
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.one_of(
+        st.tuples(st.just("carrier_freq_hz"),
+                  st.floats(9.0, 200.0).map(lambda e: 10.0 ** e)),
+        st.tuples(st.just("d0_m"),
+                  st.floats(-320.0, 300.0).map(lambda e: 10.0 ** e))))
+    @example(case=("carrier_freq_hz", 1e164))
+    @example(case=("carrier_freq_hz", 2.3494948343216815e+165))
+    @example(case=("carrier_freq_hz", 1e168))
+    # an amplitude that overflows: LAPACK printed to stdout on the way
+    @example(case=("d0_m", 1e-310))
+    def test_no_silent_zero_at_any_scale(self, tmp_path, capfd, case):
+        # a path loss of any size: every mean WSR is positive, or the
+        # command fails with a documented code, one line and nothing else
+        key, value = case
+        root = tmp_path / str(len(os.listdir(tmp_path)))
+        root.mkdir()
+        (root / "c.ini").write_text(f"[system]\n{key} = {value!r}\n")
+        out = root / "out"
+        capfd.readouterr()
+        rc = cli.main(["--config", str(root / "c.ini"), "--out", str(out),
+                       "eval", "--schemes", ",".join(CLASSICAL),
+                       "--size", "8"])
+        stdout, err = capfd.readouterr()
+        if rc:
+            assert rc in (2, 3), err
+            assert err.endswith("\n") and err.count("\n") == 1, err
+            assert stdout == "" and os.listdir(root) == ["c.ini"], stdout
+            return
+        rows = (out / "eval_summary.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == list(CLASSICAL)
+        assert all(float(row.split(",")[2]) > 0.0 for row in rows), rows
+
 
 class TestSvgPlot:
     def series(self):

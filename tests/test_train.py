@@ -474,8 +474,8 @@ class TestNeighborMax:
         route = gnn._neighbor_max(h, agg)
         assert agg.tobytes() == agg_ref.tobytes()
         # bytes, so signed zeros count too
-        assert train._neighbor_max_backward(g, route).tobytes() == \
-            gh_ref.tobytes()
+        gh = train._neighbor_max_backward(g, route, np.empty_like(g))
+        assert gh.tobytes() == gh_ref.tobytes()
         agg_only = np.empty_like(h)
         assert gnn._neighbor_max(h, agg_only, want_route=False) is None
         assert agg_only.tobytes() == agg.tobytes()
@@ -560,6 +560,17 @@ class TestBoundedMemory:
         h = tiny_batch(gen, count=120, k=2, m=4, n=4)
         assert (train._mean_wsr(nets, h, sysp, 50, ws).hex()
                 == train._mean_wsr(nets, h, sysp).hex())
+
+    def test_fresh_takes_never_share_memory(self):
+        # FRESH is the reference path the comparisons above check a
+        # Workspace against, so it must not reuse as a Workspace does
+        takes = [gnn.FRESH.take("nm", (10, 4, 8), np.float32)
+                 for _ in range(2)]
+        assert takes[0].shape == (10, 4, 8) and takes[0].dtype == np.float32
+        assert not np.shares_memory(*takes)
+        ws = gnn.Workspace()
+        assert np.shares_memory(*(ws.take("nm", (10, 4, 8), np.float32)
+                                  for _ in range(2)))
 
     def test_warm_desk_step_allocates_little(self):
         # a float64 desk step (batch 200) allocates about 18.5 MB without
