@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # Revision of the numerics: raised whenever a change moves the bits of the
 # channel, rate or training arithmetic, so cached results can tell.  2: numpy
 # Bessel functions J1/J3, log1p rates, matmul rate gradient.  3: training in
-# float32.
-NUMERICS = 3
+# float32.  4: MMSE beam power summed as re^2 + im^2, as the network's.
+NUMERICS = 4
 
 from . import accel, beamform, channel, experiments, gnn, train  # noqa: F401

@@ -269,14 +269,14 @@ def layer_bytes(rows: int, cols: int, bits: int, m_rows: int = 1,
     return out
 
 
-def layer_latency(rows: int, cols: int, bits: int, cfg: AcceleratorConfig,
+def layer_latency(rows: int, cols: int, cfg: AcceleratorConfig,
                   m_rows: int = 1, stream_in: bool = False,
                   stream_out: bool = False):
-    """(compute_cycles, memory_cycles) for a rows x cols dense layer."""
+    """(compute_cycles, memory_cycles) for a rows x cols layer at cfg.bits."""
     if rows < 1 or cols < 1 or m_rows < 1:
         raise ValueError("layer dims must be >= 1")
     compute = gemm_cycles(m_rows, rows, cols, cfg)
-    nbytes = layer_bytes(rows, cols, bits, m_rows, stream_in, stream_out)
+    nbytes = layer_bytes(rows, cols, cfg.bits, m_rows, stream_in, stream_out)
     memory = math.ceil(nbytes["total"] / cfg.bus_bytes_per_cycle)
     return compute, memory
 
@@ -286,7 +286,6 @@ class LayerLatency:
     name: str
     rows: int
     cols: int
-    bits: int
     compute_cycles: int
     memory_cycles: int
 
@@ -324,11 +323,10 @@ def _layer_row(spec: LayerSpec, m_rows: int,
 
     Activations cross the bus only at the network input and final output.
     """
-    model, memory = layer_latency(spec.fan_in, spec.fan_out, cfg.bits, cfg,
-                                  m_rows, stream_in=spec.name == "in_fc1",
+    model, memory = layer_latency(spec.fan_in, spec.fan_out, cfg, m_rows,
+                                  stream_in=spec.name == "in_fc1",
                                   stream_out=spec.name == "out_fc")
-    return LayerLatency(spec.name, spec.fan_in, spec.fan_out, cfg.bits,
-                        model, memory)
+    return LayerLatency(spec.name, spec.fan_in, spec.fan_out, model, memory)
 
 
 def _report(layers, cfg: AcceleratorConfig) -> LatencyReport:

@@ -20,7 +20,9 @@ budget runs once for all of them: the zero-forcing rank check and
 pseudo-inverse, the Gram matrices of the regularized inversion, and the
 MRT and zero-forcing norms.  Only the normalization, and for MMSE the
 regularized solve (one stacked LAPACK call), runs per budget.  Each budget
-gets the bits a scalar call with it gets.
+gets the bits a scalar call with it gets.  Two rules meet budgets: power/M
+per row (`_per_stream`: MRT, ZF) and per matrix (`normalize_power`: MMSE
+and the network).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 
 COND_LIMIT = 1e12       # condition number above which ZF refuses to invert
 CERTIFY_LIMIT = 1e8     # condition bound below which ZF skips the exact SVD
-ZERO_POWER = 1e-30      # blocks below this raw power are left at zero
 
 
 class SingularChannelError(RuntimeError):
@@ -139,13 +140,33 @@ def wsr(h, w, sigma2: float, bandwidth: float = 1.0,
     return RateReport(per_user_rates=rates, weighted_sum=rates @ omega)
 
 
-def _rescale(ww: np.ndarray, p) -> np.ndarray:
-    """ww scaled to budget p per satellite; dead blocks become zero.  p is
-    a scalar, or (P, 1, ..., 1) budgets for beams ww that lead with the
-    matching P axis."""
-    praw = np.sum(np.abs(ww) ** 2, axis=(-2, -1), keepdims=True)
-    dead = praw < ZERO_POWER
-    return ww * np.where(dead, 0.0, np.sqrt(p / np.where(dead, 1.0, praw)))
+def _per_stream(w: np.ndarray, power):
+    """Each row (user) of w scaled to power / M watts; a vector of P budgets
+    takes the norms once and gives (P, ...) beams.  Rows are prescaled or
+    ZF directions, so no nonzero norm is subnormal: only a zero row stays 0."""
+    p = _budget(power, w.ndim)
+    # np.linalg.norm's kernel without its Python wrapper (1 us a call)
+    norms = np.sqrt(np.add.reduce((w.conj() * w).real, -1, keepdims=True))
+    tiny = np.finfo(norms.dtype).tiny
+    return np.sqrt(p / w.shape[-2]) * w / np.maximum(norms, tiny)
+
+
+def _power_scale(w: np.ndarray, power):
+    """(raw power, scale factor), (..., 1, 1), of each (M, N) matrix of w; a
+    vector of P budgets leads w, (P, ..., M, N).  The factor brings a matrix
+    to its budget; it is 0 where the raw power is exactly 0, NaN where that
+    overflowed (so the beams fail a finite check instead of becoming zero)."""
+    # add.reduce is np.sum's kernel without its Python wrapper (1 us a call)
+    praw = np.add.reduce(w.real ** 2 + w.imag ** 2, (-2, -1), keepdims=True)
+    p = _budget(power, praw.ndim - 1)
+    alpha = np.sqrt(p / np.where(praw == 0, np.inf, praw))
+    alpha[praw == np.inf] = np.nan
+    return praw, alpha
+
+
+def normalize_power(w: np.ndarray, power) -> np.ndarray:
+    """Each trailing (M, N) beam matrix of w scaled to exact trace power."""
+    return w * _power_scale(w, power)[1]
 
 
 def _prescaled(hh: np.ndarray, axis) -> np.ndarray:
@@ -240,15 +261,6 @@ def _inverse_directions(mats: np.ndarray, reg=None) -> np.ndarray:
     return np.linalg.solve(gram, mh).conj().swapaxes(-1, -2)
 
 
-def _zf_normalize(wt: np.ndarray, power):
-    """Scale each (n_ant, M) direction matrix of a stack to power watts,
-    power / M per column.  A vector of P budgets takes the norms once and
-    gives (P, ...) beams."""
-    p = _budget(power, wt.ndim)
-    norms = np.linalg.norm(wt, axis=-2)
-    return np.sqrt(p / wt.shape[-1]) * wt / norms[..., None, :]
-
-
 def _blocks(hh: np.ndarray) -> np.ndarray:
     """Per-satellite matrices whose columns are user channels, (..., K, N, M)."""
     return hh.swapaxes(-1, -2)
@@ -287,19 +299,19 @@ def _zf(hh: np.ndarray, power, local: bool):
             _check_rank(mats, local)   # names a rank-deficient matrix
             raise
     _check_rank(mats, local, wt)
-    return _beams(_zf_normalize(wt, power))
+    return _per_stream(_beams(wt), power)
 
 
 def _mmse(hh: np.ndarray, power, sigma2: float, scheme: str):
     """Regularized-inversion beams of each satellite of hh, regularizer
     M sigma2 / P; ValueError naming `scheme` on a budget or noise <= 0.
     Where noise dominates the directions shrink as H / reg, so each beam
-    matrix is prescaled (`_prescaled`) before `_rescale` meets ZERO_POWER."""
+    matrix is prescaled (`_prescaled`) before its power is taken."""
     p = _budget(power, hh.ndim)
     if _lowest(p) <= 0.0 or sigma2 <= 0.0:
         raise ValueError(f"{scheme} requires power > 0 and sigma2 > 0")
     wt = _inverse_directions(_blocks(hh), hh.shape[-2] * sigma2 / p)
-    return _rescale(_prescaled(_beams(wt), (-2, -1)), p)
+    return normalize_power(_prescaled(_beams(wt), (-2, -1)), power)
 
 
 # --- local schemes (each satellite uses only its own channels) --------------
@@ -309,12 +321,7 @@ def mrt_local(h, power) -> BeamformerSet:
 
     The row is prescaled (`_prescaled`), so a weak channel gets a full
     beam at any scale; only an all-zero row gives a zero beam."""
-    hh = _prescaled(_tensor(h, "channel"), -1)
-    p = _budget(power, hh.ndim)
-    m_users = hh.shape[-2]
-    norms = np.linalg.norm(hh, axis=-1)
-    ww = np.sqrt(p / m_users) * hh / np.where(norms == 0, 1.0,
-                                              norms)[..., None]
+    ww = _per_stream(_prescaled(_tensor(h, "channel"), -1), power)
     return BeamformerSet(w=ww, power_budget=power, scope="per_satellite")
 
 

@@ -494,9 +494,13 @@ def _sample_batch(config: ExperimentConfig, count: int, stream: int,
         key.append(extra_key)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
     k = config.k_sats if k_sats is None else k_sats
-    return channel.sample_channel_batch(
-        config.channel_params(), count, k, config.m_users,
-        config.n_antennas, rng)
+    h = channel.sample_channel_batch(config.channel_params(), count, k,
+                                     config.m_users, config.n_antennas, rng)
+    if not np.isfinite(h).all():
+        raise ConfigError(f"[fading] b = {config.fading_b!r}, m = "
+                          f"{config.fading_m!r} and omega = "
+                          f"{config.fading_omega!r} overflow the channel draw")
+    return h
 
 
 # ---------------------------------------------------------------------------

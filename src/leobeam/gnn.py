@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beamform import ZERO_POWER
+from .beamform import normalize_power
 
 _PARAMS_MAGIC = b"LEOGNNP1"
 _F8_TAG = 1
@@ -395,24 +395,6 @@ def _forward_group(params: GnnParams, h, power: float, keep: bool = False,
     w = normalize_power(y, power)
     cache = _GroupCache(x, a1, a2, (cc1, cc2), z2, y) if keep else None
     return cache, w
-
-
-def _power_scale(y: np.ndarray, power: float):
-    """(raw power, scale factor) of each trailing (M, N) matrix of y.  The
-    factor brings the matrix to `power`; it is 0 below ZERO_POWER, and NaN
-    where the raw power overflowed, so the beams fail the finite check
-    instead of becoming zero."""
-    praw = np.sum(y.real ** 2 + y.imag ** 2, axis=(-2, -1))
-    alpha = np.where(praw < ZERO_POWER, 0.0,
-                     np.sqrt(power / np.maximum(praw, ZERO_POWER)))
-    alpha[praw == np.inf] = np.nan
-    return praw, alpha
-
-
-def normalize_power(y: np.ndarray, power: float) -> np.ndarray:
-    """Scale each trailing (M, N) complex beam matrix of y to exact trace
-    power; matrices of (near) zero power become zero."""
-    return y * _power_scale(y, power)[1][..., None, None]
 
 
 # --- the pairwise reference schedule -----------------------------------------

@@ -4,8 +4,8 @@ The loss is the negative mean weighted sum rate over a batch of channel
 draws, so minimizing it maximizes the rate objective directly; no labels
 are involved.  Gradients are computed by a hand-rolled batched reverse
 pass through the whole pipeline: feature embedding, the dense stack, the
-neighbor max aggregation, the exact power normalization (quotient rule,
-zero-power guard treated as constant), and the rate expression
+neighbor max aggregation, the exact power normalization (quotient rule;
+a block of raw power 0 stays zero), and the rate expression
 differentiated through its real/imaginary parts.  The forward pass is
 `gnn._forward_group`, run with caches; this module holds its backward.
 The neighbor max gradient goes to the node that supplied each aggregate:
@@ -46,12 +46,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import channel
-from .beamform import ZERO_POWER, BeamformerSet, pooled, rate_terms, unpooled
+from . import beamform, channel
+from .beamform import BeamformerSet, pooled, rate_terms, unpooled
 from .gnn import (FRESH, ArtifactError, FcLayer, GnnParams, Workspace,
                   atomic_write, csv_file, init_params, layer_plan, read_exact,
                   read_params, scaled_dims, write_files, write_params,
-                  _dense, _ensure_finite, _forward_group, _power_scale)
+                  _dense, _ensure_finite, _forward_group)
 
 logger = logging.getLogger(__name__)
 
@@ -252,12 +252,12 @@ def _conv_backward(cache, layers, g, mask, m: int, blocks, acc, ws):
 
 def _powernorm_backward(y, gw, power: float):
     # w = alpha(y) * y with alpha = sqrt(P / sum |y|^2); quotient rule gives
-    # gy = alpha*g - (alpha/p) * Re(sum conj(g) y) * y; alpha is 0 on a dead
-    # block, so its rows stay zero
-    praw, alpha = _power_scale(y, power)
+    # gy = alpha*g - (alpha/p) * Re(sum conj(g) y) * y; alpha is 0 on a block
+    # of raw power p = 0, so its rows stay zero
+    praw, alpha = beamform._power_scale(y, power)
     s = np.sum(gw.real * y.real + gw.imag * y.imag, axis=(2, 3))
-    coef = alpha / np.maximum(praw, ZERO_POWER)
-    return alpha[..., None, None] * gw - (coef * s)[..., None, None] * y
+    coef = alpha / np.where(praw == 0, 1.0, praw)
+    return alpha * gw - coef * s[..., None, None] * y
 
 
 def _backward_group(params: GnnParams, cache, gw, power: float, blocks,

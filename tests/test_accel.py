@@ -321,7 +321,7 @@ class TestLayerAccounting:
     def test_layer_latency_frozen_input_layer(self):
         # 8 x 1024 serving 4 rows with streamed input, default config
         cfg = AcceleratorConfig()
-        compute, memory = layer_latency(8, 1024, 8, cfg, m_rows=4,
+        compute, memory = layer_latency(8, 1024, cfg, m_rows=4,
                                         stream_in=True)
         assert compute == 2432
         assert memory == 1540
@@ -330,15 +330,15 @@ class TestLayerAccounting:
     def test_memory_cycles_scale_with_bus(self):
         cfg8 = AcceleratorConfig(bus_bytes_per_cycle=8)
         cfg4 = AcceleratorConfig(bus_bytes_per_cycle=4)
-        _, mem8 = layer_latency(1024, 512, 8, cfg8)
-        _, mem4 = layer_latency(1024, 512, 8, cfg4)
+        _, mem8 = layer_latency(1024, 512, cfg8)
+        _, mem4 = layer_latency(1024, 512, cfg4)
         assert mem4 == 2 * mem8  # byte total divides both widths
 
     def test_layer_latency_validation(self):
         with pytest.raises(ValueError):
-            layer_latency(0, 4, 8, AcceleratorConfig())
+            layer_latency(0, 4, AcceleratorConfig())
         with pytest.raises(ValueError):
-            layer_latency(4, 4, 8, AcceleratorConfig(), m_rows=0)
+            layer_latency(4, 4, AcceleratorConfig(), m_rows=0)
 
 
 class TestLatencyModel:

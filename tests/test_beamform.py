@@ -100,12 +100,13 @@ class TestWsr:
 
 
 class TestEnforcePower:
-    """Exact budgets from `beamform._rescale`, the rescale MMSE ends with."""
+    """Exact budgets from `beamform.normalize_power`, the rescale MMSE and
+    the network end with."""
 
     def test_per_satellite_budget(self):
         rng = np.random.default_rng(40)
         w = rand_channel(rng, k=3, m=2, n=4)
-        out = beamform._rescale(w, 2.5)
+        out = beamform.normalize_power(w, 2.5)
         for k in range(3):
             assert np.sum(np.abs(out[k]) ** 2) == pytest.approx(2.5,
                                                                 rel=1e-12)
@@ -114,21 +115,37 @@ class TestEnforcePower:
         rng = np.random.default_rng(41)
         w = rand_channel(rng, k=3, m=2, n=4)
         # a total budget is the per-satellite one of the pooled transmitter
-        out = beamform._rescale(beamform.pooled(w), 2.5)
+        out = beamform.normalize_power(beamform.pooled(w), 2.5)
         assert np.sum(np.abs(out) ** 2) == pytest.approx(2.5, rel=1e-12)
 
     def test_zero_input_stays_zero(self):
-        out = beamform._rescale(np.zeros((2, 2, 2), dtype=complex), 1.0)
+        out = beamform.normalize_power(np.zeros((2, 2, 2), dtype=complex),
+                                       1.0)
         assert np.all(out == 0)
 
     def test_input_untouched(self):
-        # MMSE hands `_rescale` a new array, so it scales into another
-        # one and leaves its input as it was
+        # MMSE hands `normalize_power` a new array, so it scales into
+        # another one and leaves its input as it was
         w = rand_channel(np.random.default_rng(42), k=3, m=2, n=4)
         before = w.copy()
-        out = beamform._rescale(w, 2.5)
+        out = beamform.normalize_power(w, 2.5)
         assert w.tobytes() == before.tobytes()
         assert not np.shares_memory(out, w)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(e=st.integers(-400, 400), seed=st.integers(0, 2 ** 32 - 1))
+    def test_no_absolute_dead_threshold(self, e, seed):
+        # a matrix is dead only at raw power exactly 0: y 2^e scales the
+        # raw power by 2^2e and the factor by 2^-e, both exact for
+        # |e| <= 400, so the beams keep every bit at any scale
+        y = rand_channel(np.random.Generator(np.random.Philox(seed)), 3, 2, 4)
+        y = np.stack([y, y[::-1]])   # a leading axis for two budgets
+        scaled = np.ldexp(y.real, e) + 1j * np.ldexp(y.imag, e)
+        for power in (2.0, np.array([0.5, 3.0])):
+            want = beamform.normalize_power(y, power)
+            got = beamform.normalize_power(scaled, power)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMrt:
@@ -265,7 +282,7 @@ def zf_check_first(h, power, local: bool):
             f"rank-deficient channel matrix at {', '.join(where)}: "
             "zero-forcing requires linearly independent user channels")
     wt = beamform._inverse_directions(mats)
-    w = beamform._beams(beamform._zf_normalize(wt, power))
+    w = beamform._per_stream(beamform._beams(wt), power)
     return w if local else beamform.unpooled(w, k_sats, n_ant)
 
 
@@ -427,7 +444,7 @@ class TestMmse:
     def test_power_of_two_scaling_keeps_every_bit(self, k, m, n, e, sigma2,
                                                   seed):
         # (h 2^e, sigma2 2^2e) scales the directions by 2^-e; each beam
-        # matrix is prescaled before its power meets ZERO_POWER, so a weak
+        # matrix is prescaled before its power is taken, so a weak
         # channel keeps its beams.  |e| <= 400 keeps every value, the Gram
         # entries and the directions' powers included, in the normal range
         h = rand_channel(np.random.Generator(np.random.Philox(seed)), k, m, n)

@@ -411,7 +411,7 @@ class TestBudgetAxis:
 
     def test_dead_blocks_stay_zero_at_every_budget(self):
         h = random_stack(np.random.default_rng(7), 2, 2, 3, 2)
-        # below ZERO_POWER: one user's channel, and a whole satellite block
+        # weak but nonzero: one user's channel, and a whole satellite block
         h[1, 0, 2] = 1e-20
         h[0, 1] = 1e-20
         budgets = np.array([0.5, 2.0])
@@ -426,9 +426,15 @@ class TestBudgetAxis:
         dead[1, 1, 0] = 0.0
         mrt = beamform.mrt_local(dead, budgets).w
         assert np.all(mrt[:, 1, 1, 0] == 0) and np.all(mrt[:, 1, 1, 1:] != 0)
-        scaled = beamform._rescale(np.stack([h, h]),
-                                   beamform._budget(budgets, h.ndim))
-        assert np.all(scaled[:, 0, 1] == 0) and np.all(scaled[:, 1, 1] != 0)
+        # nor does the per-matrix rule: the weak block gets its budget, and
+        # only an all-zero block stays zero
+        dead = h.copy()
+        dead[1, 0] = 0.0
+        scaled = beamform.normalize_power(np.stack([dead, dead]), budgets)
+        np.testing.assert_allclose(
+            np.sum(np.abs(scaled[:, 0, 1]) ** 2, axis=(-2, -1)), budgets,
+            rtol=1e-14)
+        assert np.all(scaled[:, 1, 0] == 0) and np.all(scaled[:, 1, 1] != 0)
 
     def test_bad_budget_vectors_rejected(self):
         h = random_stack(np.random.default_rng(6), 2, 1, 2, 2)
@@ -1218,6 +1224,25 @@ class TestCliContract:
                         continue
                     assert math.isfinite(v), (name, line)
 
+    @pytest.mark.parametrize("command", ["eval", "sweep", "quant"])
+    @pytest.mark.parametrize("key", ["b", "omega"])
+    def test_fading_overflow_is_a_config_error(self, micro_ckpt, tmp_path,
+                                               capfd, command, key):
+        # draws that overflow to a non-finite channel: the SVD of the rank
+        # check failed to converge (exit 3), and LAPACK may print to stdout
+        (tmp_path / "c.ini").write_text(MICRO_INI.replace(
+            "schemes = mrt_local,zf_local,mmse_local",
+            f"schemes = {','.join(CLASSICAL)}\ncheckpoint = {micro_ckpt}")
+            + f"\n[fading]\n{key} = 1e308\n")
+        capfd.readouterr()
+        rc = cli.main(["--config", str(tmp_path / "c.ini"), "--out",
+                       str(tmp_path / "out"), *_FUZZ_COMMANDS[command]])
+        stdout, err = capfd.readouterr()
+        assert rc == 2, err
+        assert err.count("\n") == 1 and "[fading] b = " in err, err
+        assert "omega = " in err and ", m = " in err, err
+        assert stdout == "" and os.listdir(tmp_path) == ["c.ini"], stdout
+
     def test_weak_channel_gives_positive_mrt_rate(self, tmp_path, capsys):
         # at 1e20 Hz the path loss puts |h|^2 near 1e-40; MRT used to zero
         # every such beam and report a mean WSR of 0.0 with exit 0
@@ -1247,7 +1272,7 @@ class TestCliContract:
 
     def test_weakest_normal_channel_gives_positive_rates(self, tmp_path):
         # |h| near 1e-160, best-case SNR 5.0e-308: all five schemes keep
-        # positive means; MMSE's beams stay above `_rescale`'s zero guard
+        # positive means; MMSE's prescaled beams keep their budget
         (tmp_path / "c.ini").write_text("[system]\ncarrier_freq_hz = 1e164\n")
         out = tmp_path / "out"
         assert cli.main(["--config", str(tmp_path / "c.ini"), "--out",

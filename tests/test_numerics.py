@@ -122,7 +122,7 @@ class TestOverflowedBeamPower:
     def test_power_scale(self):
         y = np.array([[[1e200, 1.0]], [[3.0, 4.0j]], [[0.0, 0.0]]])
         with np.errstate(over="ignore"):
-            praw, alpha = gnn._power_scale(y, 2.0)
+            praw, alpha = beamform._power_scale(y, 2.0)
         assert praw[0] == np.inf and np.isnan(alpha[0])
         assert alpha[1] == np.sqrt(2.0 / 25.0)
         assert alpha[2] == 0.0

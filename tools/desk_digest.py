@@ -6,8 +6,10 @@ Runs, through `leobeam.cli.main` into a temporary directory and on
 gnn_global,mmse_global`, `eval` (with `gnn_local`), a `p_dbw` sweep over
 -10..10 dB (with `gnn_local`), the same sweep under the `pooled` policy
 with `gnn_global` and `mmse_global`, a `k_sats` sweep over 1..4 under the
-`split` policy, `quant` and `latency`.  Prints one `sha256  path` line per
-artifact, paths relative to the run directory.
+`split` policy, `quant` and `latency`.  Then, under `untied/` and with
+`[train] tied = false` added to desk.ini, `train --epochs 1`, `eval` and
+`quant`, so one parameter set per satellite is covered too.  Prints one
+`sha256  path` line per artifact, paths relative to the run directory.
 Two checkouts that print the same lines write byte-identical artifacts on
 this machine, so comparing a change against its parent is one `diff`:
 
@@ -20,6 +22,7 @@ Needs only the standard library and `leobeam`, imported from the path.
 
 from __future__ import annotations
 
+import configparser
 import contextlib
 import hashlib
 import io
@@ -50,6 +53,8 @@ RUNS = [
     (["quant"], None),
     (["latency"], None),
 ]
+# run on desk.ini with one parameter set per satellite, into `untied/`
+UNTIED = [["train", "--epochs", "1"], ["eval"], ["quant"]]
 ARTIFACTS = {"eval": ("eval.csv", "eval_summary.csv"),
              "sweep": ("sweep.csv", "sweep.svg")}
 
@@ -62,7 +67,7 @@ def _run(argv) -> None:
         raise SystemExit(f"leobeam {' '.join(argv)} exited {code}")
 
 
-def run_all(out: str) -> None:
+def run_all(out: str, untied_ini: str) -> None:
     shared = ["--config", DESK, "--seed", "7", "--out", out]
     for (command, *extra), subdir in RUNS:
         _run([command, *shared, *extra])
@@ -71,6 +76,14 @@ def run_all(out: str) -> None:
             for name in ARTIFACTS[command]:
                 os.replace(os.path.join(out, name),
                            os.path.join(out, subdir, name))
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read(DESK)
+    ini["train"]["tied"] = "false"
+    with open(untied_ini, "w") as fh:
+        ini.write(fh)
+    for command, *extra in UNTIED:
+        _run([command, "--config", untied_ini, "--seed", "7", "--out",
+              os.path.join(out, "untied"), *extra])
 
 
 def digests(root: str):
@@ -86,8 +99,9 @@ def digests(root: str):
 
 
 def main() -> int:
-    with tempfile.TemporaryDirectory(prefix="desk_digest_") as out:
-        run_all(out)
+    with tempfile.TemporaryDirectory(prefix="desk_digest_") as tmp:
+        out = os.path.join(tmp, "out")
+        run_all(out, os.path.join(tmp, "untied.ini"))
         for digest, path in digests(out):
             print(f"{digest}  {path}")
     return 0
